@@ -62,9 +62,6 @@ class SpectralSplit:
     def from_block(self, zh: np.ndarray) -> np.ndarray:
         return self.transform_inv @ np.asarray(zh, dtype=float)
 
-    def split_block(self, zh: np.ndarray):
-        return zh[: self.k], zh[self.k:]
-
     @property
     def is_identity_transform(self) -> bool:
         return np.allclose(self.transform, np.eye(self.dim), atol=1e-13)
@@ -309,26 +306,14 @@ def check_conditions(sys: HybridSystem, sched: ArgumentSchedule,
     n = sys.dim
     entries = []
 
-    entries.append(ConditionEntry(
-        "constant-linear-part", True,
-        {"note": f"A is a constant real {n}x{n} matrix"},
-    ))
-
     # Monte-Carlo Lipschitz probe and origin check for the nonlinearity.
-    max_ratio = 0.0
-    max_origin = 0.0
     t_lo, t_hi = sched.t_min, sched.t_max
+    samples = []
     for _ in range(probes):
         t = float(rng.uniform(t_lo, t_hi))
-        z1, z2, w1, w2 = rng.normal(size=(4, n)) * (sys.probe_radius / 2.0)
-        num = np.linalg.norm(np.asarray(sys.f(t, z1, w1)) - np.asarray(sys.f(t, z2, w2)))
-        den = np.linalg.norm(z1 - z2) + np.linalg.norm(w1 - w2)
-        if den > 0:
-            max_ratio = max(max_ratio, float(num / den))
-        max_origin = max(max_origin, float(np.linalg.norm(
-            np.asarray(sys.f(t, np.zeros(n), np.zeros(n))))))
-    lip_ok = max_ratio <= sys.lipschitz_l * (1 + 1e-6) + 1e-12
-    origin_ok = max_origin <= 1e-9 * (1 + sys.lipschitz_l)
+        samples.append((t, *(rng.normal(size=(4, n)) * (sys.probe_radius / 2.0))))
+    max_ratio, max_origin, lip_ok, origin_ok = sys.probe_f(
+        [s[0] for s in samples], samples)
     entries.append(ConditionEntry(
         "lipschitz-nonlinearity", bool(lip_ok and origin_ok),
         {"probe_ratio": max_ratio, "declared_l": sys.lipschitz_l,
@@ -341,15 +326,12 @@ def check_conditions(sys: HybridSystem, sched: ArgumentSchedule,
     center = lams[np.argsort(lams.real)][k:] if k < n else np.array([])
     center_on_axis = bool(np.all(np.abs(center.real) <= 1e-7)) if k < n else True
     entries.append(ConditionEntry(
-        "spectral-split", bool(k >= 0 and center_on_axis),
+        "neutral-spectrum-on-axis", center_on_axis,
         {"k": k, "mu": split.mu,
          "eigenvalues": [complex(v) for v in lams],
-         "note": f"k={k} decaying, {n - k} neutral eigenvalue(s)"},
-    ))
-    entries.append(ConditionEntry(
-        "neutral-spectrum-on-axis", center_on_axis,
-        {"note": "all non-decaying eigenvalues have zero real part"
-         if center_on_axis else "non-decaying eigenvalue off the axis"},
+         "note": f"k={k} decaying, {n - k} neutral eigenvalue(s); "
+         + ("all non-decaying eigenvalues have zero real part"
+            if center_on_axis else "non-decaying eigenvalue off the axis")},
     ))
 
     v1, v2, v3 = bundle.c5_values

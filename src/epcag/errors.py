@@ -79,6 +79,14 @@ class DivergenceError(EpcagError):
         self.deltas = list(deltas) if deltas is not None else []
 
 
+class EnvelopeError(EpcagError):
+    """A converged graph-map solution left its analytic decay envelope."""
+
+    def __init__(self, message, excess):
+        super().__init__(message)
+        self.excess = excess
+
+
 class BoxExceededError(EpcagError):
     """A center-graph lookup fell outside the cached coordinate box."""
 
@@ -93,3 +101,7 @@ class ContractionFailureError(EpcagError):
 
 class ConfigError(EpcagError):
     """An experiment configuration failed validation."""
+
+
+class SystemValidationError(ConfigError, ValueError):
+    """A system's linear part, declared constant or nonlinearity is invalid."""

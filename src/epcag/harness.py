@@ -181,7 +181,7 @@ def schedule_from_dict(cfg: dict) -> ArgumentSchedule:
         if kind in ("epca", "alternating", "randomized"):
             params["window"] = tuple(params["window"])
         return make_schedule(kind, **params)
-    except (KeyError, TypeError, ScheduleValidationError) as exc:
+    except (KeyError, TypeError, ValueError, ScheduleValidationError) as exc:
         raise ConfigError(f"schedule config invalid: {exc}") from exc
 
 
@@ -304,12 +304,13 @@ def _error_record(err: Exception) -> dict:
         "SpectrumError": "analysis", "ConditioningError": "analysis",
         "ParameterError": "analysis", "SmallnessError": "manifolds",
         "DivergenceError": "manifolds", "BoxExceededError": "manifolds",
+        "EnvelopeError": "manifolds", "SystemValidationError": "solver",
         "DegenerateDimensionError": "reduction",
         "ContractionFailureError": "reduction", "ConfigError": "harness",
     }
     rec = {"type": type(err).__name__, "message": str(err),
            "module": tags.get(type(err).__name__, module)}
-    for attr in ("interval", "last_finite_time", "ratios", "deltas"):
+    for attr in ("interval", "last_finite_time", "ratios", "deltas", "excess"):
         if hasattr(err, attr):
             val = getattr(err, attr)
             if isinstance(val, (list, tuple)):
@@ -473,12 +474,15 @@ def _recipe_manifold(cfg, sys, sched, out_dir, kind: str) -> dict:
 
 
 def _recipe_phase(cfg, sys, sched, out_dir) -> dict:
-    split, bundle = _analysis_stack(sys, sched, cfg)
     rp = cfg.run_params
+    try:
+        z0 = np.asarray(rp["z0"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"run.z0 invalid: {exc}") from exc
+    split, bundle = _analysis_stack(sys, sched, cfg)
     sv = cfg.solver
     i = int(rp.get("anchor_index", sched.i_min))
     zeta = sched.zeta(i)
-    z0 = np.asarray(rp["z0"], dtype=float)
     res = asymptotic_phase(sys, sched, split, bundle, zeta, z0,
                            tol=cfg.manifold["tol"], step=sv["step"],
                            quad_step=cfg.manifold["quad_step"])

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .analysis import ConstantsBundle, SpectralSplit, _sampled_sup
-from .errors import BoxExceededError, DivergenceError, ParameterError, SmallnessError
+from .errors import (BoxExceededError, DivergenceError, EnvelopeError,
+                     ParameterError, SmallnessError)
 from .schedule import ArgumentSchedule
 from .solver import HybridSystem, solve_forward
 
@@ -228,35 +229,26 @@ def stable_tail_bound(split: SpectralSplit, bundle: ConstantsBundle,
     return 2.0 * K**2 * l * c_norm * (1.0 + math.exp(a * th)) * tail
 
 
-def _stable_graph(Bp, Bm, fblock, sched, zeta, c, horizon, tol, max_iter,
-                  quad_step, init="zero"):
-    k = Bp.shape[0]
-    nm = Bm.shape[0]
-    n = k + nm
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.shape != (k,):
-        raise ParameterError(f"c must have length {k}, got shape {c.shape}")
-    t_hi = _snap_up(sched, zeta + horizon)
-    grid = _PanelGrid(sched, zeta, t_hi, quad_step)
-    N = len(grid)
+def _picard(Bp, Bm, gfun, grid: _PanelGrid, u0, v_end, tol, max_iter, Z=None):
+    """Successive approximation of the split integral system on ``grid``.
 
-    Z = np.zeros((N, n))
-    if init not in ("zero", "linear"):
-        raise ParameterError(f"unknown init {init!r}")
-    if init == "linear" and k > 0:
-        # seed with the homogeneous decaying flow through c
-        Z[0, :k] = c
-        cache: dict = {}
-        for p in grid.panels:
-            E1, _, _ = _kernels(Bp, p.delta, cache)
-            for q in range(1, p.n_sub + 1):
-                Z[p.start + q, :k] = E1 @ Z[p.start + q - 1, :k]
+    Each sweep evaluates the nonlinearity ``gfun`` along the current iterate,
+    then integrates the first block forward from ``u0`` at t_0 and the
+    second block backward from ``v_end`` at t_N; ``Z`` is the starting
+    iterate (zero by default).  Stops when the sup-norm change drops below
+    ``tol``; raises :class:`DivergenceError` when it stops decreasing or
+    ``max_iter`` sweeps pass.  Returns the converged samples and the delta
+    of every sweep.
+    """
+    k = Bp.shape[0]
+    n = k + Bm.shape[0]
+    if Z is None:
+        Z = np.zeros((len(grid), n))
     deltas: list = []
-    converged = False
     for m in range(max_iter):
-        g = _eval_g_panels(fblock, grid, Z, n)
-        U = _forward_sweep(Bp, grid, [gi[:, :k] for gi in g], c)
-        V = _backward_sweep(Bm, grid, [gi[:, k:] for gi in g], np.zeros(nm))
+        g = _eval_g_panels(gfun, grid, Z, n)
+        U = _forward_sweep(Bp, grid, [gi[:, :k] for gi in g], u0)
+        V = _backward_sweep(Bm, grid, [gi[:, k:] for gi in g], v_end)
         Znew = np.hstack([U, V])
         delta = float(np.max(np.linalg.norm(Znew - Z, axis=1)))
         Z = Znew
@@ -266,13 +258,20 @@ def _stable_graph(Bp, Bm, fblock, sched, zeta, c, horizon, tol, max_iter,
                 f"non-decreasing sweep deltas at m={m}: {deltas[-3:]}", deltas)
         deltas.append(delta)
         if delta < tol:
-            converged = True
-            break
-    if not converged:
-        raise DivergenceError(
-            f"no convergence within {max_iter} sweeps (last delta {deltas[-1]:.3g})",
-            deltas)
-    return grid, Z, deltas, len(deltas) - 1
+            return Z, deltas
+    raise DivergenceError(
+        f"no convergence within {max_iter} sweeps (last delta {deltas[-1]:.3g})",
+        deltas)
+
+
+def _check_envelope(norms, env, tol, size, label):
+    """Raise :class:`EnvelopeError` when sampled norms exceed the analytic
+    envelope by more than the quadrature slack for a start of norm size."""
+    slack = max(20.0 * tol, 1e-9 * (1.0 + size))
+    if not np.all(norms <= env + slack):
+        excess = float(np.max(norms - env))
+        raise EnvelopeError(f"{label} envelope violated: max excess {excess:.3g}",
+                            excess)
 
 
 def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
@@ -293,26 +292,37 @@ def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
     if horizon is None:
         horizon = default_stable_horizon(split, max(tol, 1e-12))
     fblock = _block_f(sys, split)
-    grid, Z, deltas, m_last = _stable_graph(
-        split.B_plus, split.B_minus, fblock, sched, zeta, c, horizon, tol,
-        max_iter, quad_step, init=init)
     k = split.k
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if c.shape != (k,):
+        raise ParameterError(f"c must have length {k}, got shape {c.shape}")
+    grid = _PanelGrid(sched, zeta, _snap_up(sched, zeta + horizon), quad_step)
+    Z = np.zeros((len(grid), sys.dim))
+    if init not in ("zero", "linear"):
+        raise ParameterError(f"unknown init {init!r}")
+    if init == "linear" and k > 0:
+        # seed with the homogeneous decaying flow through c
+        Z[0, :k] = c
+        cache: dict = {}
+        for p in grid.panels:
+            E1, _, _ = _kernels(split.B_plus, p.delta, cache)
+            for q in range(1, p.n_sub + 1):
+                Z[p.start + q, :k] = E1 @ Z[p.start + q - 1, :k]
+    Z, deltas = _picard(split.B_plus, split.B_minus, fblock, grid, c,
+                        np.zeros(sys.dim - k), tol, max_iter, Z)
     value = Z[0, k:].copy()
-    c_norm = float(np.linalg.norm(np.atleast_1d(c)))
+    c_norm = float(np.linalg.norm(c))
     K, alpha = split.K_const, bundle.alpha
-    norms = np.linalg.norm(Z, axis=1)
-    env = 2.0 * K * c_norm * np.exp(-alpha * (grid.ts - zeta))
-    slack = max(20.0 * tol, 1e-9 * (1.0 + c_norm))
-    assert np.all(norms <= env + slack), (
-        "decay envelope violated: max excess "
-        f"{float(np.max(norms - env)):.3g}")
+    _check_envelope(np.linalg.norm(Z, axis=1),
+                    2.0 * K * c_norm * np.exp(-alpha * (grid.ts - zeta)),
+                    tol, c_norm, "decay")
     if split.is_identity_transform:
         zs = Z.copy()
     else:
         zs = Z @ split.transform_inv.T
     return ManifoldApprox(
         kind="stable", anchor_time=float(zeta),
-        horizon=float(grid.ts[-1] - zeta), iterates=m_last,
+        horizon=float(grid.ts[-1] - zeta), iterates=len(deltas) - 1,
         lipschitz_bound=bundle.p_const * K * bundle.l,
         last_delta=deltas[-1], value=value, ts=grid.ts.copy(), zs=zs,
         deltas=deltas)
@@ -353,7 +363,6 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
             f"2pl = {2 * bundle.p_const * bundle.l:.4g} >= 1")
     k = split.k
     nm = split.B_minus.shape[0]
-    n = k + nm
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if d.shape != (nm,):
         raise ParameterError(f"d must have length {nm}, got shape {d.shape}")
@@ -392,31 +401,8 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
 
     t_lo = _snap_down(sched, zeta - horizon)
     grid = _PanelGrid(sched, t_lo, zeta, quad_step)
-    N = len(grid)
-    omega0 = d * math.exp(kappa * zeta)
-
-    Z = np.zeros((N, n))
-    deltas: list = []
-    converged = False
-    for m in range(max_iter):
-        g = _eval_g_panels(gblock, grid, Z, n)
-        Xi = _forward_sweep(Bp_s, grid, [gi[:, :k] for gi in g], np.zeros(k))
-        Om = _backward_sweep(Bm_s, grid, [gi[:, k:] for gi in g], omega0)
-        Znew = np.hstack([Xi, Om])
-        delta = float(np.max(np.linalg.norm(Znew - Z, axis=1)))
-        Z = Znew
-        if deltas and delta >= deltas[-1] and delta > tol:
-            deltas.append(delta)
-            raise DivergenceError(
-                f"non-decreasing sweep deltas at m={m}: {deltas[-3:]}", deltas)
-        deltas.append(delta)
-        if delta < tol:
-            converged = True
-            break
-    if not converged:
-        raise DivergenceError(
-            f"no convergence within {max_iter} sweeps (last delta {deltas[-1]:.3g})",
-            deltas)
+    Z, deltas = _picard(Bp_s, Bm_s, gblock, grid, np.zeros(k),
+                        d * math.exp(kappa * zeta), tol, max_iter)
 
     gbar = Z[-1, :k]
     value = math.exp(-kappa * zeta) * gbar
@@ -424,12 +410,9 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
     zb = Z * np.exp(-kappa * grid.ts)[:, None]
     d_norm = float(np.linalg.norm(d))
     alpha_tilde = kappa - alpha1
-    env = 2.0 * K_bar * d_norm * np.exp(-alpha_tilde * (grid.ts - zeta))
-    slack = max(20.0 * tol, 1e-9 * (1.0 + d_norm))
-    norms = np.linalg.norm(zb, axis=1)
-    assert np.all(norms <= env + slack), (
-        "backward envelope violated: max excess "
-        f"{float(np.max(norms - env)):.3g}")
+    _check_envelope(np.linalg.norm(zb, axis=1),
+                    2.0 * K_bar * d_norm * np.exp(-alpha_tilde * (grid.ts - zeta)),
+                    tol, d_norm, "backward")
     if split.is_identity_transform:
         zs = zb
     else:
@@ -510,6 +493,19 @@ def verify_surface_invariance(sys: HybridSystem, sched: ArgumentSchedule,
         anchor_index=i, anchor_time=zeta_i, defects=defects,
         off_surface_min_v=float(min(v_off)), off_surface_delta=delta_off,
         on_surface_max_v=float(max(v_on)), window=(zeta_i, t_off_end))
+
+
+def _sampled_P(graph, draws, l: float, min_gap: float) -> float:
+    """Largest |graph(d1) - graph(d2)| / |d1 - d2| over the pairs in
+    ``draws`` (shape (pairs, 2, n)), divided by l; pairs closer than
+    ``min_gap`` are skipped."""
+    best = 0.0
+    for d1, d2 in draws:
+        den = float(np.linalg.norm(d1 - d2))
+        if den < min_gap:
+            continue
+        best = max(best, float(np.linalg.norm(graph(d1) - graph(d2))) / den)
+    return best / max(l, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -662,33 +658,8 @@ class CenterEvaluator:
             return self._P
         if anchor is None:
             anchor = float(self.time_nodes[0])
-        rng = np.random.default_rng(seed)
-        nm = len(self.lo)
-        best = 0.0
-        for _ in range(pairs):
-            d1 = rng.uniform(self.lo, self.hi)
-            d2 = rng.uniform(self.lo, self.hi)
-            den = float(np.linalg.norm(d1 - d2))
-            if den < 1e-9:
-                continue
-            num = float(np.linalg.norm(self.point(anchor, d1) - self.point(anchor, d2)))
-            best = max(best, num / den)
-        l = max(self.bundle.l, 1e-300)
-        self._P = best / l
+        draws = np.random.default_rng(seed).uniform(
+            self.lo, self.hi, size=(pairs, 2, len(self.lo)))
+        self._P = _sampled_P(lambda d: self.point(anchor, d), draws,
+                             self.bundle.l, min_gap=1e-9)
         return self._P
-
-    def grid_dump(self, ti: int = 0):
-        """(coords, values) rows over the full cached grid at one time node."""
-        nm = len(self.lo)
-        axes = [np.linspace(self.lo[ax], self.hi[ax], self.resolution)
-                for ax in range(nm)]
-        rows = []
-        for flat in range(self.resolution ** nm):
-            idx = []
-            rem = flat
-            for ax in range(nm):
-                idx.append(rem % self.resolution)
-                rem //= self.resolution
-            coords = [axes[ax][idx[ax]] for ax in range(nm)]
-            rows.append((coords, self._grid_value(ti, tuple(idx))))
-        return rows

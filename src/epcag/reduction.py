@@ -18,11 +18,12 @@ from .errors import (
     ParameterError,
     SmallnessError,
 )
-from .manifolds import CenterEvaluator, _block_f, _stable_graph, _snap_up, eval_G, \
-    default_stable_horizon
+from .manifolds import CenterEvaluator, _PanelGrid, _block_f, _picard, _sampled_P, \
+    _snap_up, eval_G, default_stable_horizon
 from .schedule import ArgumentSchedule
-from .solver import HybridSystem, Trajectory, solve_anchor, solve_forward, \
-    _locate_right_closed
+from .solver import HybridSystem, Trajectory, solve_forward, _locate_right_closed, \
+    _march
+from .solver import solve_anchor  # noqa: F401  (bench/selftest.py traces this alias)
 
 __all__ = [
     "StabilityVerdict",
@@ -140,24 +141,6 @@ class PhaseResult:
     empirical_P: float
 
 
-def _estimate_P(sys, sched, split, bundle, zeta, v0, scale, g_kwargs, pairs=3,
-                seed=3):
-    rng = np.random.default_rng(seed)
-    nm = len(np.atleast_1d(v0))
-    l = max(bundle.l, 1e-300)
-    best = 0.0
-    for _ in range(pairs):
-        d1 = v0 + rng.normal(size=nm) * scale
-        d2 = v0 + rng.normal(size=nm) * scale
-        den = float(np.linalg.norm(d1 - d2))
-        if den < 1e-12:
-            continue
-        g1 = eval_G(sys, sched, split, bundle, zeta, d1, **g_kwargs).value
-        g2 = eval_G(sys, sched, split, bundle, zeta, d2, **g_kwargs).value
-        best = max(best, float(np.linalg.norm(g1 - g2)) / den)
-    return best / l
-
-
 def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
                      split: SpectralSplit, bundle: ConstantsBundle,
                      zeta: float, z0, tol: float = 1e-8, max_iter: int = 25,
@@ -191,8 +174,11 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
 
     p, K, l = bundle.p_const, split.K_const, bundle.l
     if P is None:
-        P = _estimate_P(sys, sched, split, bundle, zeta, v0,
-                        max(0.1, 0.5 * float(np.linalg.norm(v0))), g_kwargs)
+        scale = max(0.1, 0.5 * float(np.linalg.norm(v0)))
+        draws = v0 + np.random.default_rng(3).normal(size=(3, 2, len(v0))) * scale
+        P = _sampled_P(
+            lambda d: eval_G(sys, sched, split, bundle, zeta, d, **g_kwargs).value,
+            draws, bundle.l, min_gap=1e-12)
     if 1.0 - p * P * K * l * l <= 0:
         raise SmallnessError(f"1 - pPKl^2 = {1 - p * P * K * l * l:.4g} <= 0")
     if p * K * l * (1.0 + P * l) > 1.0:
@@ -229,9 +215,9 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
         mu0 = split.from_block(np.concatenate([G_d, d]))
         mu_traj = solve_forward(sys, sched, zeta, mu0, t_traj_end, step, solver_tol)
         c_j = u0 - G_d
-        _, Z, _, _ = _stable_graph(
-            split.B_plus, split.B_minus, translated(mu_traj), sched, zeta,
-            c_j, horizon, picard_tol, picard_max_iter, quad_step)
+        grid = _PanelGrid(sched, zeta, _snap_up(sched, zeta + horizon), quad_step)
+        Z, _ = _picard(split.B_plus, split.B_minus, translated(mu_traj), grid,
+                       c_j, np.zeros(len(v0)), picard_tol, picard_max_iter)
         d_next = v0 - Z[0, k:]
         if float(np.linalg.norm(d_next - v0)) > r0 * (1 + 1e-8) + 1e-12:
             raise ContractionFailureError(
@@ -326,47 +312,39 @@ def classify_stability(sys: HybridSystem, sched: ArgumentSchedule,
             raise ParameterError(
                 f"horizon {horizon} from t0={t0} leaves the schedule window "
                 f"(ends at {sched.t_max})")
-        i_first = sched.interval_index(t0)
-        i_last = _locate_right_closed(sched, t_end)
+        intervals = range(sched.interval_index(t0),
+                          _locate_right_closed(sched, t_end) + 1)
         for radius in radii:
             for direction in dirs:
                 z0 = radius * direction
                 max_exc = float(np.linalg.norm(z0))
                 env_ts = [0.0]
                 env_ns = [max_exc]
-                t_a, z_a = t0, z0
                 escaped = False
-                blew_up = False
                 final_norm = max_exc
                 t_reached = 0.0
-                for i in range(i_first, i_last + 1):
-                    try:
-                        res = solve_anchor(sys, sched, i, t_a, z_a, step, tol,
-                                           max_iter)
-                    except BlowUpError as err:
-                        blew_up = True
-                        t_reached = max(t_reached, err.last_finite_time - t0)
-                        break
-                    seg = res.segment
-                    mask = (seg.ts >= t0 - 1e-12) & (seg.ts <= t_end + 1e-12)
-                    norms = np.linalg.norm(seg.zs[mask], axis=1)
-                    env_ts.extend(np.asarray(seg.ts[mask]) - t0)
-                    env_ns.extend(norms)
-                    max_exc = max(max_exc, float(np.max(norms)))
-                    final_norm = float(norms[-1])
-                    t_a = sched.theta(i + 1)
-                    z_a = seg.value_at_node(t_a)
-                    t_reached = min(t_a, t_end) - t0
-                    if max_exc > escape_factor * radius:
-                        escaped = True
-                        break
-                    if i == i_last:
-                        final_norm = float(np.linalg.norm(seg.eval(t_end)))
-                        t_reached = horizon
-                if blew_up:
-                    max_exc = float("inf")
-                    final_norm = float("inf")
-                if escaped or blew_up:
+                try:
+                    for res in _march(sys, sched, t0, z0, intervals, step, tol,
+                                      max_iter):
+                        seg = res.segment
+                        mask = (seg.ts >= t0 - 1e-12) & (seg.ts <= t_end + 1e-12)
+                        norms = np.linalg.norm(seg.zs[mask], axis=1)
+                        env_ts.extend(np.asarray(seg.ts[mask]) - t0)
+                        env_ns.extend(norms)
+                        max_exc = max(max_exc, float(np.max(norms)))
+                        final_norm = float(norms[-1])
+                        t_reached = min(sched.theta(seg.index + 1), t_end) - t0
+                        if max_exc > escape_factor * radius:
+                            escaped = True
+                            break
+                        if seg.index == intervals[-1]:
+                            final_norm = float(np.linalg.norm(seg.eval(t_end)))
+                            t_reached = horizon
+                except BlowUpError as err:
+                    escaped = True
+                    max_exc = final_norm = float("inf")
+                    t_reached = max(t_reached, err.last_finite_time - t0)
+                if escaped:
                     saw_escape = True
                     all_bounded = False
                     all_final_small = False

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUpError, NonContractionError
+from .errors import BlowUpError, NonContractionError, SystemValidationError
 from .schedule import ArgumentSchedule
 
 __all__ = [
@@ -66,39 +66,63 @@ class HybridSystem:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         object.__setattr__(self, "A", A)
         if A.shape != (self.dim, self.dim):
-            raise ValueError(f"A must be {self.dim}x{self.dim}, got {A.shape}")
+            raise SystemValidationError(
+                f"A must be {self.dim}x{self.dim}, got {A.shape}")
         if self.lipschitz_l < 0:
-            raise ValueError("lipschitz_l must be nonnegative")
+            raise SystemValidationError("lipschitz_l must be nonnegative")
         if self.validate:
             self._spot_check()
 
     def _spot_check(self):
-        n = self.dim
-        zero = np.zeros(n)
-        for t in self.probe_times:
-            val = np.asarray(self.f(t, zero, zero), dtype=float)
-            if val.shape != (n,):
-                raise ValueError(f"f must return vectors of length {n}")
-            if np.linalg.norm(val) > 1e-9 * (1.0 + self.lipschitz_l):
-                raise ValueError(f"f(t,0,0) != 0 at t={t} (got {val})")
         rng = np.random.default_rng(20240817)
+        samples = []
         for _ in range(24):
             t = float(rng.choice(self.probe_times))
-            z1, z2, w1, w2 = rng.normal(size=(4, n))
+            z1, z2, w1, w2 = rng.normal(size=(4, self.dim))
             scale = self.probe_radius / max(
                 np.linalg.norm(z1), np.linalg.norm(z2),
                 np.linalg.norm(w1), np.linalg.norm(w2), 1.0,
             )
-            z1, z2, w1, w2 = z1 * scale, z2 * scale, w1 * scale, w2 * scale
+            samples.append((t, z1 * scale, z2 * scale, w1 * scale, w2 * scale))
+        ratio, origin, ratio_ok, origin_ok = self.probe_f(self.probe_times,
+                                                          samples)
+        if not origin_ok:
+            raise SystemValidationError(
+                f"f(t,0,0) != 0 at t in {self.probe_times} (largest norm "
+                f"{origin:.4g})")
+        if not ratio_ok:
+            raise SystemValidationError(
+                f"sampled Lipschitz ratio {ratio:.4g} exceeds the declared "
+                f"constant {self.lipschitz_l}")
+
+    def probe_f(self, origin_times, samples) -> tuple:
+        """Sampled evidence that f vanishes at the origin and is l-Lipschitz.
+
+        Returns ``(ratio, origin, ratio_ok, origin_ok)``: the largest
+        difference quotient |f(t,z1,w1) - f(t,z2,w2)| / (|z1-z2| + |w1-w2|)
+        over the ``(t, z1, z2, w1, w2)`` samples, the largest |f(t,0,0)|
+        over ``origin_times``, and whether the quotient stays below
+        ``lipschitz_l`` and the residual at zero, up to rounding slack.
+        """
+        n = self.dim
+        zero = np.zeros(n)
+        origin = 0.0
+        for t in origin_times:
+            val = np.asarray(self.f(t, zero, zero), dtype=float)
+            if val.shape != (n,):
+                raise SystemValidationError(
+                    f"f must return vectors of length {n}")
+            origin = max(origin, float(np.linalg.norm(val)))
+        ratio = 0.0
+        for t, z1, z2, w1, w2 in samples:
             num = np.linalg.norm(
-                np.asarray(self.f(t, z1, w1)) - np.asarray(self.f(t, z2, w2))
-            )
+                np.asarray(self.f(t, z1, w1)) - np.asarray(self.f(t, z2, w2)))
             den = np.linalg.norm(z1 - z2) + np.linalg.norm(w1 - w2)
-            if den > 0 and num > self.lipschitz_l * den * (1 + 1e-6) + 1e-12:
-                raise ValueError(
-                    f"sampled Lipschitz ratio {num / den:.4g} exceeds the "
-                    f"declared constant {self.lipschitz_l}"
-                )
+            if den > 0:
+                ratio = max(ratio, float(num / den))
+        l = self.lipschitz_l
+        return (ratio, origin, ratio <= l * (1 + 1e-6) + 1e-12,
+                origin <= 1e-9 * (1 + l))
 
     def rhs(self, t, z, w):
         return self.A @ z + np.asarray(self.f(t, z, w), dtype=float)
@@ -336,8 +360,8 @@ def solve_forward(sys: HybridSystem, sched: ArgumentSchedule, t0: float,
         raise ValueError("need t0 < t_end")
     i0 = sched.interval_index(t0)
     i_end = _locate_right_closed(sched, t_end)
-    return _march(sys, sched, t0, z0, range(i0, i_end + 1), "forward",
-                  (t0, t_end), step, tol, max_iter)
+    return _trajectory(_march(sys, sched, t0, z0, range(i0, i_end + 1), step,
+                              tol, max_iter), "forward", (t0, t_end))
 
 
 def solve_backward(sys: HybridSystem, sched: ArgumentSchedule, t0: float,
@@ -354,15 +378,17 @@ def solve_backward(sys: HybridSystem, sched: ArgumentSchedule, t0: float,
         raise ValueError("need t_start < t0")
     i0 = _locate_right_closed(sched, t0)
     i_end = sched.interval_index(t_start)
-    return _march(sys, sched, t0, z0, range(i0, i_end - 1, -1), "backward",
-                  (t_start, t0), step, tol, max_iter)
+    return _trajectory(_march(sys, sched, t0, z0, range(i0, i_end - 1, -1),
+                              step, tol, max_iter), "backward", (t_start, t0))
 
 
-def _march(sys, sched, t_a, z_a, intervals, direction, t_span, step, tol, max_iter):
-    segments = []
-    anchors = {}
-    diagnostics = []
-    warn = False
+def _march(sys, sched, t_a, z_a, intervals, step, tol, max_iter):
+    """Yield each interval's :class:`AnchorResult` in marching order.
+
+    The data point of the next interval is the endpoint value just reached:
+    theta_{i+1} for ascending ``intervals``, theta_i for descending ones.
+    """
+    forward = intervals.step > 0
     z_a = np.asarray(z_a, dtype=float)
     for i in intervals:
         try:
@@ -371,26 +397,25 @@ def _march(sys, sched, t_a, z_a, intervals, direction, t_span, step, tol, max_it
             if getattr(err, "interval", None) is None:
                 err.interval = i
             raise
-        segments.append(res.segment)
-        anchors[i] = res.w
-        diagnostics.append(IntervalDiagnostics(
-            index=i, iterations=res.iterations, last_delta=res.last_delta,
-            deltas=res.deltas, ratios=res.ratios,
-        ))
-        if any(r > 1.0 for r in res.ratios):
-            warn = True
-        if direction == "forward":
-            t_a = sched.theta(i + 1)
-            z_a = res.segment.value_at_node(t_a)
-        else:
-            t_a = sched.theta(i)
-            z_a = res.segment.value_at_node(t_a)
+        yield res
+        t_a = sched.theta(i + 1) if forward else sched.theta(i)
+        z_a = res.segment.value_at_node(t_a)
+
+
+def _trajectory(results, direction, t_span) -> Trajectory:
+    results = list(results)
+    anchors = {res.segment.index: res.w for res in results}
     if direction == "backward":
-        segments = segments[::-1]
-        diagnostics = diagnostics[::-1]
+        results.reverse()
     return Trajectory(
-        segments=segments, anchors=anchors, direction=direction, t_span=t_span,
-        diagnostics=diagnostics, nonuniqueness_warning=warn,
+        segments=[res.segment for res in results], anchors=anchors,
+        direction=direction, t_span=t_span,
+        diagnostics=[IntervalDiagnostics(
+            index=res.segment.index, iterations=res.iterations,
+            last_delta=res.last_delta, deltas=res.deltas, ratios=res.ratios)
+            for res in results],
+        nonuniqueness_warning=any(r > 1.0 for res in results
+                                  for r in res.ratios),
     )
 
 

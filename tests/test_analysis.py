@@ -186,7 +186,6 @@ class TestCheckConditions:
         report = self._run(sys)
         d = report.as_dict()
         assert {e["name"] for e in d["entries"]} >= {
-            "constant-linear-part", "lipschitz-nonlinearity",
-            "contraction-smallness", "manifold-smallness",
-            "flat-origin-jacobian"}
+            "lipschitz-nonlinearity", "contraction-smallness",
+            "manifold-smallness", "flat-origin-jacobian"}
         assert "status" in report.table() or "condition" in report.table()

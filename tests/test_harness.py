@@ -261,3 +261,29 @@ class TestHeavyRecipes:
         assert rep["decay"]["bounded"] is True
         assert (tmp_path / "trajectory_companion.csv").exists()
         assert (tmp_path / "trajectory_solution.csv").exists()
+
+
+class TestConfigFailuresLeaveRecord:
+    """Invalid configs exit with status 2 and an error record, not a
+    traceback."""
+
+    def _error(self, cfg, tmp_path):
+        assert run(ExperimentConfig.from_dict(cfg), tmp_path) == 2
+        return json.loads((tmp_path / "report.json").read_text())["error"]
+
+    def test_phase_without_z0(self, tmp_path):
+        cfg = simulate_config(recipe="phase", run={"anchor_index": 0})
+        assert self._error(cfg, tmp_path)["type"] == "ConfigError"
+
+    def test_short_schedule_window(self, tmp_path):
+        cfg = simulate_config(schedule={"kind": "epca", "window": [1]})
+        assert self._error(cfg, tmp_path)["type"] == "ConfigError"
+
+    def test_understated_lipschitz_constant(self, tmp_path):
+        cfg = simulate_config()
+        cfg["system"] = dict(cfg["system"], lipschitz_l=0.01,
+                             nonlinearity={"name": "tanh-coupled",
+                                           "params": {"amp": 0.5}})
+        err = self._error(cfg, tmp_path)
+        assert err["type"] == "SystemValidationError"
+        assert "Lipschitz" in err["message"]

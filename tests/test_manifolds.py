@@ -14,7 +14,9 @@ from epcag import (
     stable_tail_bound,
     verify_surface_invariance,
 )
-from epcag.errors import BoxExceededError, DivergenceError, SmallnessError
+from epcag.errors import (BoxExceededError, DivergenceError, EnvelopeError,
+                          SmallnessError)
+from epcag.manifolds import _check_envelope
 
 AMP = 0.01
 
@@ -158,6 +160,16 @@ class TestEvalF:
         env = (2.0 * split.K_const * 1.0
                * np.exp(-bundle.alpha * (res.ts - 0.0)))
         assert np.all(np.linalg.norm(res.zs, axis=1) <= env + 1e-8)
+
+    def test_envelope_guard_raises_typed_error(self):
+        ts = np.linspace(0.0, 4.0, 9)
+        env = np.exp(-ts)
+        norms = env.copy()
+        _check_envelope(norms, env, 1e-8, 1.0, "decay")   # on the envelope
+        norms[5] += 0.25
+        with pytest.raises(EnvelopeError, match="decay envelope") as ei:
+            _check_envelope(norms, env, 1e-8, 1.0, "decay")
+        assert ei.value.excess == pytest.approx(0.25)
 
 
 class TestEvalG:

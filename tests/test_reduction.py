@@ -10,6 +10,7 @@ from epcag import (
     compute_constants,
     make_schedule,
     reduction_check,
+    solve_forward,
     spectral_split,
 )
 from epcag.errors import DegenerateDimensionError, ParameterError
@@ -203,6 +204,36 @@ class TestClassify:
                                t0_samples=[0.0], n_random_dirs=2, step=0.2)
         for radius, exc, fin, hor in v.evidence:
             assert exc >= fin
+
+
+class TestClassifierMarch:
+    """The classifier's per-direction march is the solver's march."""
+
+    def test_final_norm_is_forward_solution_at_horizon(self):
+        sys = HybridSystem(np.array([[-0.5]]),
+                           lambda t, z, w: 0.1 * np.tanh(w), 0.1, 1)
+        sched = make_schedule("alternating", window=(-1, 10))
+        t0, horizon, radius = 0.3, 10.0, 0.4
+        v = classify_stability(sys, sched, radii=[radius], horizon=horizon,
+                               t0_samples=[t0], n_random_dirs=0, step=0.1)
+        _, _, final_norm, t_reached = v.evidence[0]     # direction +e_1
+        traj = solve_forward(sys, sched, t0, np.array([radius]), t0 + horizon,
+                             0.1, 1e-8)
+        assert t_reached == horizon
+        assert final_norm == abs(traj.eval(t0 + horizon)[0])
+
+    def test_escape_stops_before_horizon(self):
+        sys = HybridSystem(np.array([[0.5]]), lambda t, z, w: np.zeros(1),
+                           0.0, 1)
+        sched = make_schedule("epca", window=(-1, 30))
+        v = classify_stability(sys, sched, radii=[0.1], horizon=20.0,
+                               t0_samples=[0.0], n_random_dirs=0, step=0.2)
+        assert v.classification == "unstable"
+        _, max_exc, final_norm, t_reached = v.evidence[0]
+        assert max_exc > 1.0 and t_reached < 20.0
+        traj = solve_forward(sys, sched, 0.0, np.array([0.1]), t_reached,
+                             0.2, 1e-8)
+        assert final_norm == abs(traj.eval(t_reached)[0])
 
 
 class TestReductionCheck:
