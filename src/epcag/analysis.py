@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ParameterError, SpectrumError, ConditioningError
 from .schedule import ArgumentSchedule
@@ -127,6 +126,7 @@ def _sampled_sup(B: np.ndarray, weight, T_check: float, n_grid: int = 400) -> fl
     stepping exp(B (j dt)) = E^j."""
     if B.shape[0] == 0:
         return 0.0
+    import scipy.linalg as sla  # deferred: most of epcag's import time
     dt = T_check / n_grid
     E = sla.expm(B * dt)
     P = np.eye(B.shape[0])
@@ -154,6 +154,7 @@ def spectral_split(A: np.ndarray, tol_eig: float = 1e-7, sigma: float | None = N
     directions).  The change of basis comes from an ordered real Schur form
     with the coupling block removed by a Sylvester solve.
     """
+    import scipy.linalg as sla  # deferred: most of epcag's import time
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
     lams = np.linalg.eigvals(A)

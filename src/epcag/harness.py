@@ -384,22 +384,20 @@ def _dispatch(cfg: ExperimentConfig, out_dir) -> dict:
 
 def _recipe_simulate(cfg, sys, sched, out_dir, forward: bool) -> dict:
     rp = cfg.run_params
+    key = "t_end" if forward else "t_start"
     try:
         t0 = float(rp["t0"])
         z0 = np.asarray(rp["z0"], dtype=float)
+        t1 = float(rp.get(key, sched.t_max if forward else sched.t_min))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"run.t0 / run.z0 invalid: {exc}") from exc
+        raise ConfigError(f"run.t0 / run.z0 / run.{key} invalid: {exc}") from exc
+    if not (t0 < t1 if forward else t1 < t0):
+        raise ConfigError(f"run.{key} = {t1} must lie "
+                          f"{'after' if forward else 'before'} run.t0 = {t0}")
     sv = cfg.solver
-    if forward:
-        t_end = float(rp.get("t_end", sched.t_max))
-        traj = solve_forward(sys, sched, t0, z0, t_end, sv["step"], sv["tol"],
-                             int(sv["max_iter"]))
-        name = "trajectory_forward.csv"
-    else:
-        t_start = float(rp.get("t_start", sched.t_min))
-        traj = solve_backward(sys, sched, t0, z0, t_start, sv["step"], sv["tol"],
-                              int(sv["max_iter"]))
-        name = "trajectory_backward.csv"
+    solve = solve_forward if forward else solve_backward
+    traj = solve(sys, sched, t0, z0, t1, sv["step"], sv["tol"], int(sv["max_iter"]))
+    name = f"trajectory_{'forward' if forward else 'backward'}.csv"
     write_trajectory_csv(traj, out_dir / name)
     return {"trajectory": trajectory_report(traj), "csv": name}
 
@@ -549,6 +547,11 @@ def _recipe_example1(cfg, out_dir) -> dict:
     z' = 3 z - z(beta(t))^2 on the alternating schedule: a data point with no
     forward continuation, and two distinct solutions colliding at t = 1 so
     the backward continuation from the collision point is non-unique."""
+    try:
+        x0 = float(cfg.run_params.get("x0", -10.0))
+        z0v = float(cfg.run_params.get("z0", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"run.x0 / run.z0 must be numbers: {exc}") from exc
     sched = make_schedule("alternating", window=(-2, 3))
     A = np.array([[3.0]])
     f, l = _CATALOG["example1-quadratic"]["factory"]({"radius": 15.0}, 1)
@@ -560,7 +563,6 @@ def _recipe_example1(cfg, out_dir) -> dict:
     # w = z(0) must solve  (e^3 - 1) w^2 + 3 w - 3 e^3 x0 = 0  (variation of
     # constants for z' = 3 z - w^2 from t = -1 to 0); for x0 = -10 the
     # discriminant is negative, so no real anchor exists.
-    x0 = float(cfg.run_params.get("x0", -10.0))
     qa, qb, qc = e3 - 1.0, 3.0, -3.0 * e3 * x0
     disc = qb * qb - 4.0 * qa * qc
     forward = {"x0": x0, "quadratic": [qa, qb, qc], "discriminant": disc,
@@ -578,7 +580,6 @@ def _recipe_example1(cfg, out_dir) -> dict:
 
     # backward non-uniqueness: pick z0 + z1 = 3 e^3/(e^3 - 1) so the two
     # interval solutions z' = 3 z - z_j^2 from t = 0 collide at t = 1.
-    z0v = float(cfg.run_params.get("z0", 1.0))
     z1v = 3.0 * e3 / (e3 - 1.0) - z0v
     endpoint = lambda zj: e3 * zj - zj**2 * (e3 - 1.0) / 3.0
     collide = abs(endpoint(z0v) - endpoint(z1v))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .analysis import ConstantsBundle, SpectralSplit, _sampled_sup
 from .errors import (BoxExceededError, DivergenceError, EnvelopeError,
@@ -123,6 +122,7 @@ class _PanelGrid:
 def _kernels(B: np.ndarray, delta: float, cache: dict):
     key = round(delta, 15)
     if key not in cache:
+        import scipy.linalg as sla  # deferred: most of epcag's import time
         E1 = sla.expm(B * delta)
         E1inv = sla.expm(-B * delta)
         cache[key] = (E1, E1 @ E1, E1inv)
@@ -332,14 +332,24 @@ def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
 # the backward-bounded center surface
 # ---------------------------------------------------------------------------
 
+_SHIFTED_K: dict = {}
+
+
 def _shifted_constants(split: SpectralSplit, kappa: float, kappa_bar: float,
                        T_check: float = 60.0) -> float:
-    """Fitted growth constant for the exponentially shifted blocks."""
-    Bp_s = split.B_plus + kappa * np.eye(split.k)
-    Bm_s = split.B_minus + kappa * np.eye(split.B_minus.shape[0])
-    r1 = _sampled_sup(Bp_s, lambda t: math.exp(-kappa_bar * t), T_check)
-    r2 = _sampled_sup(-Bm_s, lambda t: math.exp(-kappa_bar * t), T_check)
-    return 1.1 * max(1.0, r1, r2)
+    """Fitted growth constant for the exponentially shifted blocks, memoized
+    on the blocks' shapes and bytes: every eval_G of a run asks for it."""
+    Bp, Bm = split.B_plus, split.B_minus
+    key = (Bp.shape, Bp.tobytes(), Bm.shape, Bm.tobytes(), kappa, kappa_bar,
+           T_check)
+    if key not in _SHIFTED_K:
+        weight = lambda t: math.exp(-kappa_bar * t)
+        r1 = _sampled_sup(Bp + kappa * np.eye(split.k), weight, T_check)
+        r2 = _sampled_sup(-(Bm + kappa * np.eye(Bm.shape[0])), weight, T_check)
+        if len(_SHIFTED_K) >= 32:
+            _SHIFTED_K.clear()
+        _SHIFTED_K[key] = 1.1 * max(1.0, r1, r2)
+    return _SHIFTED_K[key]
 
 
 def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,

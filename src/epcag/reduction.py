@@ -205,6 +205,7 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
 
         return q
 
+    grid = _PanelGrid(sched, zeta, t_traj_end, quad_step)
     d = v0.copy()
     G_d = G_v0
     iterations = 0
@@ -215,7 +216,6 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
         mu0 = split.from_block(np.concatenate([G_d, d]))
         mu_traj = solve_forward(sys, sched, zeta, mu0, t_traj_end, step, solver_tol)
         c_j = u0 - G_d
-        grid = _PanelGrid(sched, zeta, _snap_up(sched, zeta + horizon), quad_step)
         Z, _ = _picard(split.B_plus, split.B_minus, translated(mu_traj), grid,
                        c_j, np.zeros(len(v0)), picard_tol, picard_max_iter)
         d_next = v0 - Z[0, k:]

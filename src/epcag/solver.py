@@ -258,6 +258,17 @@ def _rk4_path(sys: HybridSystem, ts: np.ndarray, z0: np.ndarray, w: np.ndarray,
     return zs, dzs
 
 
+def _interval_step(sched: ArgumentSchedule, i: int, t_anchor: float,
+                   step: float) -> float:
+    """The step clamped to a quarter of interval i, which must hold t_anchor."""
+    th_lo, th_hi = sched.theta(i), sched.theta(i + 1)
+    if not (th_lo - 1e-12 <= t_anchor <= th_hi + 1e-12):
+        raise ValueError(
+            f"t_anchor={t_anchor} outside interval {i} = [{th_lo}, {th_hi}]"
+        )
+    return min(step, (th_hi - th_lo) / 4.0)
+
+
 def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
                        t_anchor: float, z_anchor: np.ndarray, w: np.ndarray,
                        step: float) -> Segment:
@@ -267,13 +278,9 @@ def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     endpoints; nodes land exactly on theta_i, theta_{i+1} and zeta_i.  The
     step is clamped to a quarter of the interval length.
     """
+    h = _interval_step(sched, i, t_anchor, step)
     th_lo, th_hi = sched.theta(i), sched.theta(i + 1)
     zeta = sched.zeta(i)
-    if not (th_lo - 1e-12 <= t_anchor <= th_hi + 1e-12):
-        raise ValueError(
-            f"t_anchor={t_anchor} outside interval {i} = [{th_lo}, {th_hi}]"
-        )
-    h = min(step, (th_hi - th_lo) / 4.0)
     z_anchor = np.asarray(z_anchor, dtype=float)
     w = np.asarray(w, dtype=float)
 
@@ -304,38 +311,51 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
                  tol: float, max_iter: int = 50) -> AnchorResult:
     """Resolve the implicit anchor value w = z(zeta_i) on interval i.
 
-    The unknown is the single vector w: starting from the segment integrated
-    with the w-slot frozen at z_anchor, each sweep re-integrates with the
-    current w and reads the new value at zeta_i.  Stops when consecutive
-    values differ by less than tol; raises :class:`NonContractionError` with
-    the observed ratio sequence when the iteration fails to settle.
+    The unknown is the single vector w, and only the stretch from t_anchor
+    to zeta_i bears on it.  Each sweep integrates that stretch alone, on the
+    nodes :func:`integrate_interval` lays there (so values agree bit for
+    bit): first with the w-slot frozen at z_anchor, then with the current w.
+    Once consecutive values differ by less than tol, the whole interval is
+    integrated once with the last sweep's input w; ``AnchorResult.w`` is that
+    sweep's output.  An explicit anchor (zeta_i = t_anchor) takes no step
+    until that one integration.  Raises :class:`NonContractionError` with
+    the observed ratio sequence when the iteration fails to settle; a
+    blow-up outside the stretch surfaces from the final integration.
 
     Contraction is guaranteed when the smallness report of the analysis
     module passes; when it does not, continuation may genuinely fail or be
     non-unique, and the error's ratio sequence is the diagnostic.
     """
     zeta = sched.zeta(i)
-    z_anchor = np.asarray(z_anchor, dtype=float)
-    seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, z_anchor, step)
-    w = seg.value_at_node(zeta)
+    z_anchor = np.array(z_anchor, dtype=float)  # a copy: it may come back as w
+    h = _interval_step(sched, i, t_anchor, step)
+    span = _node_grid(min(t_anchor, zeta), max(t_anchor, zeta), None, h)
+    span = span if zeta >= t_anchor else span[::-1]
+
+    def sweep(w):  # the value at zeta_i with the w-slot frozen at w
+        if len(span) == 1:
+            return z_anchor
+        return _rk4_path(sys, span, z_anchor, w, i)[0][-1]
+
+    w = sweep(z_anchor)
     scale = max(1.0, float(np.linalg.norm(w)))
     deltas: list = []
     ratios: list = []
     for m in range(1, max_iter + 1):
-        seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, w, step)
-        w_next = seg.value_at_node(zeta)
+        w_next = sweep(w)
         delta = float(np.linalg.norm(w_next - w))
         if deltas and deltas[-1] > 0:
             ratios.append(delta / deltas[-1])
         deltas.append(delta)
         if not np.isfinite(delta) or delta > _DELTA_EXPLOSION * scale:
             raise NonContractionError(deltas, ratios, interval=i, max_iter=max_iter)
-        w = w_next
         if delta < tol:
+            seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, w, step)
             return AnchorResult(
-                w=w, iterations=m, last_delta=delta, deltas=deltas,
+                w=w_next, iterations=m, last_delta=delta, deltas=deltas,
                 ratios=ratios, segment=seg,
             )
+        w = w_next
     raise NonContractionError(deltas, ratios, interval=i, max_iter=max_iter)
 
 

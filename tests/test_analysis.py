@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.integrate import quad
 
+import epcag
 from epcag import (
     HybridSystem,
     SpectralSplit,
@@ -189,3 +194,11 @@ class TestCheckConditions:
             "lipschitz-nonlinearity", "contraction-smallness",
             "manifold-smallness", "flat-origin-jacobian"}
         assert "status" in report.table() or "condition" in report.table()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is most of the import time of epcag; it loads on first use
+    env = dict(os.environ, PYTHONPATH=str(Path(epcag.__file__).parents[1]))
+    code = "import sys, epcag; sys.exit('scipy.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0

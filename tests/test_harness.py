@@ -287,3 +287,22 @@ class TestConfigFailuresLeaveRecord:
         err = self._error(cfg, tmp_path)
         assert err["type"] == "SystemValidationError"
         assert "Lipschitz" in err["message"]
+
+    def test_simulate_t_end_not_after_t0(self, tmp_path):
+        cfg = simulate_config(run={"t0": 4.0, "z0": [1.0, 0.5], "t_end": 4.0})
+        err = self._error(cfg, tmp_path)
+        assert err["type"] == "ConfigError" and "run.t_end" in err["message"]
+
+    def test_backward_t_start_not_before_t0(self, tmp_path):
+        cfg = simulate_config(recipe="continue-backward",
+                              run={"t0": 4.0, "z0": [1.0, 0.5], "t_start": 6.0})
+        err = self._error(cfg, tmp_path)
+        assert err["type"] == "ConfigError" and "run.t_start" in err["message"]
+
+    def test_example1_list_z0(self, tmp_path):
+        cfg = {"recipe": "example1", "run": {"z0": [1.0]}}
+        assert self._error(cfg, tmp_path)["type"] == "ConfigError"
+
+    def test_example1_list_x0(self, tmp_path):
+        cfg = {"recipe": "example1", "run": {"x0": [-10.0, 1.0]}}
+        assert self._error(cfg, tmp_path)["type"] == "ConfigError"

@@ -16,7 +16,9 @@ from epcag import (
 )
 from epcag.errors import (BoxExceededError, DivergenceError, EnvelopeError,
                           SmallnessError)
-from epcag.manifolds import _check_envelope
+from epcag.analysis import _sampled_sup
+from epcag import manifolds
+from epcag.manifolds import _check_envelope, _shifted_constants
 
 AMP = 0.01
 
@@ -220,6 +222,20 @@ class TestEvalG:
                     vals[d] = r.value[0]
                     bound = r.lipschitz_bound
             assert abs(vals[d1] - vals[d2]) <= bound * abs(d1 - d2) * 1.05 + 1e-12
+
+    def test_shifted_constant_memo_is_the_direct_fit(self, monkeypatch):
+        split = spectral_split(np.array([[-1.0, 0.3], [0.0, 0.0]]))
+        kappa, kappa_bar = 0.25, 0.2
+        weight = lambda t: math.exp(-kappa_bar * t)
+        direct = 1.1 * max(
+            1.0,
+            _sampled_sup(split.B_plus + kappa * np.eye(1), weight, 60.0),
+            _sampled_sup(-(split.B_minus + kappa * np.eye(1)), weight, 60.0))
+        assert _shifted_constants(split, kappa, kappa_bar) == direct
+        # an equal split built anew is recognised by its blocks' bytes
+        again = spectral_split(np.array([[-1.0, 0.3], [0.0, 0.0]]))
+        monkeypatch.setattr(manifolds, "_sampled_sup", None)
+        assert _shifted_constants(again, kappa, kappa_bar) == direct
 
     def test_backward_envelope(self, epca_sched, diag_split):
         amp = 0.01

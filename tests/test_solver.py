@@ -155,6 +155,116 @@ class TestSolveAnchor:
         assert any(r > 1.0 for r in ei.value.ratios)
 
 
+def two_pass_anchor(sys, sched, i, t_anchor, z_anchor, step, tol,
+                    max_iter=50):
+    """Oracle: the anchor iteration with every sweep over the whole interval,
+    seeded by a full pass with the w-slot frozen at z_anchor."""
+    zeta = sched.zeta(i)
+    z_anchor = np.asarray(z_anchor, dtype=float)
+    seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, z_anchor, step)
+    w = seg.value_at_node(zeta)
+    deltas, ratios = [], []
+    for m in range(1, max_iter + 1):
+        seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, w, step)
+        w_next = seg.value_at_node(zeta)
+        delta = float(np.linalg.norm(w_next - w))
+        if deltas and deltas[-1] > 0:
+            ratios.append(delta / deltas[-1])
+        deltas.append(delta)
+        w = w_next
+        if delta < tol:
+            return w, m, deltas, ratios, seg
+    raise AssertionError(f"oracle did not settle on interval {i}")
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestSolveAnchorWork:
+    """Span-only sweeps and the explicit-anchor shortcut change the work,
+    never the numbers."""
+
+    @pytest.mark.parametrize("kind, forward", [
+        ("epca", True),
+        ("alternating", True), ("alternating", False),
+        ("randomized", True), ("randomized", False),
+    ])
+    def test_bitwise_equal_to_full_interval_sweeps(self, kind, forward):
+        sys = small_random_system(np.random.default_rng(5), 2, 0.15)
+        if kind == "randomized":
+            sched = make_schedule(kind, window=(0, 8), theta_bound=1.0,
+                                  seed=31)
+        else:
+            sched = make_schedule(kind, window=(0, 8))
+        intervals = range(0, 8) if forward else range(7, -1, -1)
+        # a forward march starts inside interval 0, past its anchor, so the
+        # first sweep runs backwards; a backward march has every anchor behind
+        t_a = 0.5 * (sched.zeta(0) + sched.theta(1)) if forward else sched.t_max
+        z_a = np.array([0.9, -0.6])
+        zeta_sides = set()
+        for i in intervals:
+            res = solve_anchor(sys, sched, i, t_a, z_a, 0.05, 1e-12)
+            w, m, deltas, ratios, seg = two_pass_anchor(
+                sys, sched, i, t_a, z_a, 0.05, 1e-12)
+            zeta_sides.add(int(np.sign(sched.zeta(i) - t_a)))
+            assert same_bits(res.w, w)
+            assert (res.iterations, res.deltas, res.ratios) == (m, deltas, ratios)
+            for name in ("ts", "zs", "dzs", "w"):
+                assert same_bits(getattr(res.segment, name), getattr(seg, name))
+            t_a = sched.theta(i + 1) if forward else sched.theta(i)
+            z_a = seg.value_at_node(t_a)
+        assert zeta_sides == ({-1} if not forward else
+                              {-1, 0} if kind == "epca" else {-1, 1})
+
+    def test_explicit_anchor_integrates_once(self):
+        calls = []
+
+        def f(t, z, w):
+            calls.append(t)
+            return 0.25 * w
+
+        sys = HybridSystem(np.array([[-1.0]]), f, 0.25, 1)
+        sched = make_schedule("epca", window=(0, 3))
+        z = np.array([0.7])
+        calls.clear()
+        res = solve_anchor(sys, sched, 1, 1.0, z, 0.1, 1e-12)
+        # ten RK4 steps of four calls each, the first node's derivative, and
+        # the derivative at the (empty) left path's only node
+        assert len(calls) == 4 * 10 + 2
+        assert (res.iterations, res.deltas, res.ratios) == (1, [0.0], [])
+        assert same_bits(res.w, z)
+
+    def test_sweeps_integrate_only_the_anchor_span(self):
+        calls = []
+
+        def f(t, z, w):
+            calls.append(t)
+            return 0.25 * np.tanh(w)
+
+        sys = HybridSystem(np.array([[-1.0]]), f, 0.25, 1)
+        sched = make_schedule("alternating", window=(0, 2))
+        calls.clear()
+        res = solve_anchor(sys, sched, 0, -1.0, np.array([0.7]), 0.1, 1e-12)
+        # the span [-1, 0] takes ten steps; the seeding pass and every sweep
+        # walk it, then the full interval [-1, 1] is integrated once
+        span, full = 4 * 10 + 1, 4 * 20 + 2
+        assert res.iterations > 2
+        assert len(calls) == (res.iterations + 1) * span + full
+        assert max(calls[:-full]) <= 0.0
+
+    def test_blowup_beyond_the_anchor_surfaces_at_final_integration(self):
+        def f(t, z, w):
+            return np.array([np.inf if t > 0.75 else 0.5 * w[0]])
+
+        sys = HybridSystem(np.array([[0.0]]), f, 0.5, 1, validate=False)
+        sched = make_schedule("explicit", thetas=[0.0, 1.0], zetas=[0.5])
+        with pytest.raises(BlowUpError) as ei:
+            solve_anchor(sys, sched, 0, 0.0, np.array([1.0]), 0.05, 1e-12)
+        assert ei.value.interval == 0
+        assert 0.5 <= ei.value.last_finite_time < 1.0
+
+
 class TestSolveForward:
     def test_zero_nonlinearity_matrix_exponential(self):
         A = np.array([[-0.4, 0.8], [-0.8, -0.4]])
