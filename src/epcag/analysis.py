@@ -168,12 +168,9 @@ def spectral_split(A: np.ndarray, tol_eig: float = 1e-7, sigma: float | None = N
     k = int(np.sum(stable_mask))
     mu = float(np.max(lams.real[stable_mask])) if k > 0 else float("-inf")
 
-    if k == n:
+    S = np.eye(n)
+    if k in (0, n):
         T, Z = sla.schur(A, output="real")
-        S = np.eye(n)
-    elif k == 0:
-        T, Z = sla.schur(A, output="real")
-        S = np.eye(n)
     else:
         T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re < -tol_eig)
         if sdim != k:
@@ -182,9 +179,7 @@ def spectral_split(A: np.ndarray, tol_eig: float = 1e-7, sigma: float | None = N
                 f"block, expected {k}; tighten tol_eig"
             )
         T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
-        X = sla.solve_sylvester(T11, -T22, -T12)
-        S = np.eye(n)
-        S[:k, k:] = X
+        S[:k, k:] = sla.solve_sylvester(T11, -T22, -T12)
     # A = Z T Z^T, T = S diag S^{-1}  =>  transform = S^{-1} Z^T
     transform = np.linalg.solve(S, Z.T)
     cond = np.linalg.cond(transform)

@@ -382,6 +382,11 @@ def _dispatch(cfg: ExperimentConfig, out_dir) -> dict:
     raise ConfigError(f"unhandled recipe {cfg.recipe!r}")
 
 
+def _check_finite_z0(z0: np.ndarray):
+    if not np.all(np.isfinite(z0)):
+        raise ConfigError(f"run.z0 must be finite, got {z0.tolist()}")
+
+
 def _recipe_simulate(cfg, sys, sched, out_dir, forward: bool) -> dict:
     rp = cfg.run_params
     key = "t_end" if forward else "t_start"
@@ -391,6 +396,7 @@ def _recipe_simulate(cfg, sys, sched, out_dir, forward: bool) -> dict:
         t1 = float(rp.get(key, sched.t_max if forward else sched.t_min))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"run.t0 / run.z0 / run.{key} invalid: {exc}") from exc
+    _check_finite_z0(z0)
     if not (t0 < t1 if forward else t1 < t0):
         raise ConfigError(f"run.{key} = {t1} must lie "
                           f"{'after' if forward else 'before'} run.t0 = {t0}")
@@ -477,6 +483,7 @@ def _recipe_phase(cfg, sys, sched, out_dir) -> dict:
         z0 = np.asarray(rp["z0"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"run.z0 invalid: {exc}") from exc
+    _check_finite_z0(z0)
     split, bundle = _analysis_stack(sys, sched, cfg)
     sv = cfg.solver
     i = int(rp.get("anchor_index", sched.i_min))
@@ -515,7 +522,8 @@ def _stability_kwargs(cfg, sched):
 def _recipe_stability(cfg, sys, sched) -> dict:
     radii, horizon, t0_samples, kw = _stability_kwargs(cfg, sched)
     verdict = classify_stability(sys, sched, radii, horizon, t0_samples,
-                                 seed=cfg.seed, tol=cfg.solver["tol"], **kw)
+                                 seed=cfg.seed, tol=cfg.solver["tol"],
+                                 max_iter=int(cfg.solver["max_iter"]), **kw)
     print(f"classification: {verdict.classification}"
           + (f" (rate {verdict.rate:.4g})" if verdict.rate else ""))
     return {"verdict": verdict.as_dict()}
@@ -533,7 +541,8 @@ def _recipe_reduce(cfg, sys, sched) -> dict:
         horizon=mf["horizon"])
     result = reduction_check(sys, sched, split, bundle, g_eval, radii=radii,
                              horizon=horizon, t0_samples=t0_samples,
-                             seed=cfg.seed, tol=cfg.solver["tol"], **kw)
+                             seed=cfg.seed, tol=cfg.solver["tol"],
+                             max_iter=int(cfg.solver["max_iter"]), **kw)
     width = 24
     print(f"{'':{width}}{'full':<24}reduced")
     print(f"{'classification':{width}}{result.full.classification:<24}"

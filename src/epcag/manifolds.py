@@ -129,52 +129,38 @@ def _kernels(B: np.ndarray, delta: float, cache: dict):
     return cache[key]
 
 
-def _forward_sweep(B, grid: _PanelGrid, gvals, init):
-    """X(t_j) = e^{B(t_j - t_0)} init + cumulative integral of
-    e^{B(t_j - s)} g(s) ds from t_0, fourth order."""
+def _sweep(B, grid: _PanelGrid, gvals, x0, backward: bool = False):
+    """X(t_j) = e^{B(t_j - t_0)} x0 + cumulative integral of
+    e^{B(t_j - s)} g(s) ds from t_0, fourth order.
+
+    With ``backward`` the start value ``x0`` is X(t_N) and
+    X(t_j) = e^{B(t_j - t_N)} x0 - integral over [t_j, t_N]: the same
+    recursion in mirrored time s -> -s, run on -B over the reversed panels
+    with the samples reversed and negated, its output reversed back.
+    """
     d = B.shape[0]
-    N = len(grid)
-    X = np.zeros((N, d))
+    X = np.zeros((len(grid), d))
     if d == 0:
         return X
-    X[0] = init
+    spans = [(p.start, p.n_sub, p.delta) for p in grid.panels]
+    if backward:
+        last = len(grid) - 1
+        B = -B
+        spans = [(last - start - n_sub, n_sub, dl)
+                 for start, n_sub, dl in reversed(spans)]
+        gvals = [-g[::-1] for g in reversed(gvals)]
+    X[0] = x0
     cache: dict = {}
-    for p, g in zip(grid.panels, gvals):
-        E1, E2, E1inv = _kernels(B, p.delta, cache)
-        base = p.start
-        dl = p.delta
-        for q in range(0, p.n_sub, 2):
+    for (base, n_sub, dl), g in zip(spans, gvals):
+        E1, E2, E1inv = _kernels(B, dl, cache)
+        for q in range(0, n_sub, 2):
             g0, g1, g2 = g[q], g[q + 1], g[q + 2]
-            x0 = X[base + q]
-            X[base + q + 1] = E1 @ x0 + (dl / 12.0) * (
+            x = X[base + q]
+            X[base + q + 1] = E1 @ x + (dl / 12.0) * (
                 5.0 * (E1 @ g0) + 8.0 * g1 - E1inv @ g2)
-            X[base + q + 2] = E2 @ x0 + (dl / 3.0) * (
+            X[base + q + 2] = E2 @ x + (dl / 3.0) * (
                 E2 @ g0 + 4.0 * (E1 @ g1) + g2)
-    return X
-
-
-def _backward_sweep(B, grid: _PanelGrid, gvals, terminal):
-    """X(t_j) = e^{B(t_j - t_N)} terminal - integral over [t_j, t_N] of
-    e^{B(t_j - s)} g(s) ds, fourth order, swept right to left."""
-    d = B.shape[0]
-    N = len(grid)
-    X = np.zeros((N, d))
-    if d == 0:
-        return X
-    X[N - 1] = terminal
-    cache: dict = {}
-    for p, g in zip(reversed(grid.panels), reversed(gvals)):
-        E1b, E2b, E1binv = _kernels(-B, p.delta, cache)
-        base = p.start
-        dl = p.delta
-        for q in range(p.n_sub - 2, -1, -2):
-            g0, g1, g2 = g[q], g[q + 1], g[q + 2]
-            x2 = X[base + q + 2]
-            X[base + q + 1] = E1b @ x2 - (dl / 12.0) * (
-                -(E1binv @ g0) + 8.0 * g1 + 5.0 * (E1b @ g2))
-            X[base + q] = E2b @ x2 - (dl / 3.0) * (
-                g0 + 4.0 * (E1b @ g1) + E2b @ g2)
-    return X
+    return X[::-1] if backward else X
 
 
 def _eval_g_panels(fblock, grid: _PanelGrid, Z: np.ndarray, n: int):
@@ -229,26 +215,24 @@ def stable_tail_bound(split: SpectralSplit, bundle: ConstantsBundle,
     return 2.0 * K**2 * l * c_norm * (1.0 + math.exp(a * th)) * tail
 
 
-def _picard(Bp, Bm, gfun, grid: _PanelGrid, u0, v_end, tol, max_iter, Z=None):
+def _picard(Bp, Bm, gfun, grid: _PanelGrid, u0, v_end, tol, max_iter):
     """Successive approximation of the split integral system on ``grid``.
 
-    Each sweep evaluates the nonlinearity ``gfun`` along the current iterate,
-    then integrates the first block forward from ``u0`` at t_0 and the
-    second block backward from ``v_end`` at t_N; ``Z`` is the starting
-    iterate (zero by default).  Stops when the sup-norm change drops below
-    ``tol``; raises :class:`DivergenceError` when it stops decreasing or
-    ``max_iter`` sweeps pass.  Returns the converged samples and the delta
-    of every sweep.
+    Starting from the zero iterate, each sweep evaluates the nonlinearity
+    ``gfun`` along the current iterate, then integrates the first block
+    forward from ``u0`` at t_0 and the second block backward from ``v_end``
+    at t_N.  Stops when the sup-norm change drops below ``tol``; raises
+    :class:`DivergenceError` when it stops decreasing or ``max_iter`` sweeps
+    pass.  Returns the converged samples and the delta of every sweep.
     """
     k = Bp.shape[0]
     n = k + Bm.shape[0]
-    if Z is None:
-        Z = np.zeros((len(grid), n))
+    Z = np.zeros((len(grid), n))
     deltas: list = []
     for m in range(max_iter):
         g = _eval_g_panels(gfun, grid, Z, n)
-        U = _forward_sweep(Bp, grid, [gi[:, :k] for gi in g], u0)
-        V = _backward_sweep(Bm, grid, [gi[:, k:] for gi in g], v_end)
+        U = _sweep(Bp, grid, [gi[:, :k] for gi in g], u0)
+        V = _sweep(Bm, grid, [gi[:, k:] for gi in g], v_end, backward=True)
         Znew = np.hstack([U, V])
         delta = float(np.max(np.linalg.norm(Znew - Z, axis=1)))
         Z = Znew
@@ -276,8 +260,8 @@ def _check_envelope(norms, env, tol, size, label):
 
 def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
            bundle: ConstantsBundle, zeta: float, c, horizon: float | None = None,
-           tol: float = 1e-8, max_iter: int = 60, quad_step: float = 0.05,
-           init: str = "zero") -> ManifoldApprox:
+           tol: float = 1e-8, max_iter: int = 60,
+           quad_step: float = 0.05) -> ManifoldApprox:
     """Graph value of the forward-decaying surface at (zeta, c) and the
     decaying solution built along the way.
 
@@ -297,19 +281,8 @@ def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
     if c.shape != (k,):
         raise ParameterError(f"c must have length {k}, got shape {c.shape}")
     grid = _PanelGrid(sched, zeta, _snap_up(sched, zeta + horizon), quad_step)
-    Z = np.zeros((len(grid), sys.dim))
-    if init not in ("zero", "linear"):
-        raise ParameterError(f"unknown init {init!r}")
-    if init == "linear" and k > 0:
-        # seed with the homogeneous decaying flow through c
-        Z[0, :k] = c
-        cache: dict = {}
-        for p in grid.panels:
-            E1, _, _ = _kernels(split.B_plus, p.delta, cache)
-            for q in range(1, p.n_sub + 1):
-                Z[p.start + q, :k] = E1 @ Z[p.start + q - 1, :k]
     Z, deltas = _picard(split.B_plus, split.B_minus, fblock, grid, c,
-                        np.zeros(sys.dim - k), tol, max_iter, Z)
+                        np.zeros(sys.dim - k), tol, max_iter)
     value = Z[0, k:].copy()
     c_norm = float(np.linalg.norm(c))
     K, alpha = split.K_const, bundle.alpha
@@ -355,8 +328,7 @@ def _shifted_constants(split: SpectralSplit, kappa: float, kappa_bar: float,
 def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
            bundle: ConstantsBundle, zeta: float, d, horizon: float | None = None,
            tol: float = 1e-8, max_iter: int = 60, quad_step: float = 0.05,
-           kappa: float | None = None, kappa_bar: float | None = None,
-           alpha1: float | None = None) -> ManifoldApprox:
+           kappa: float | None = None) -> ManifoldApprox:
     """Graph value of the center surface at (zeta, d) via the exponential
     shift that turns the neutral block into an expanding one.
 
@@ -366,7 +338,8 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
     Lipschitz constant l e^{kappa theta}.  Successive approximation runs on
     the backward-truncated integral system over [zeta - horizon, zeta]; the
     graph value maps back through G(zeta, d) = e^{-kappa zeta} Gbar(zeta,
-    d e^{kappa zeta}).
+    d e^{kappa zeta}).  The weight exponents follow from kappa:
+    kappa_bar = 0.9 min(sigma - kappa, kappa) and alpha1 = kappa_bar / 4.
     """
     if not bundle.c10_pass:
         raise SmallnessError(
@@ -381,12 +354,8 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
         kappa = sigma / 2.0
     if not 0 < kappa < sigma:
         raise ParameterError(f"kappa must lie in (0, sigma={sigma})")
-    if kappa_bar is None:
-        kappa_bar = 0.9 * min(sigma - kappa, kappa)
-    if alpha1 is None:
-        alpha1 = kappa_bar / 4.0
-    if not 0 < alpha1 < kappa_bar:
-        raise ParameterError("need 0 < alpha1 < kappa_bar")
+    kappa_bar = 0.9 * min(sigma - kappa, kappa)
+    alpha1 = kappa_bar / 4.0
     theta = bundle.theta
     K_bar = _shifted_constants(split, kappa, kappa_bar)
     l_shift = bundle.l * math.exp(kappa * theta)
@@ -530,7 +499,8 @@ class CenterEvaluator:
     coordinates and linearly in time.  When the system is autonomous and the
     schedule repeats with period ``time_period``, time is wrapped into one
     period so the cache stays small; otherwise time nodes are laid per
-    schedule interval.
+    schedule interval.  The period starts one horizon plus 2 theta_bound into
+    the schedule; each cell is one :func:`eval_G` of at most 40 sweeps.
 
     Concurrent readers are safe; concurrent insertions of the same key may
     race but agree to tolerance, so last-write-wins is acceptable.
@@ -539,16 +509,14 @@ class CenterEvaluator:
     def __init__(self, sys: HybridSystem, sched: ArgumentSchedule,
                  split: SpectralSplit, bundle: ConstantsBundle, *,
                  box, resolution: int = 17, horizon: float | None = None,
-                 tol: float = 1e-6, max_iter: int = 40,
-                 quad_step: float = 0.1, kappa: float | None = None,
-                 time_period: float | None = None, time_subdiv: int = 4,
-                 t_ref: float | None = None):
+                 tol: float = 1e-6, quad_step: float = 0.1,
+                 kappa: float | None = None, time_period: float | None = None,
+                 time_subdiv: int = 4):
         self.sys = sys
         self.sched = sched
         self.split = split
         self.bundle = bundle
         self.tol = tol
-        self.max_iter = max_iter
         self.quad_step = quad_step
         self.kappa = kappa
         nm = sys.dim - split.k
@@ -568,9 +536,8 @@ class CenterEvaluator:
         self.horizon = horizon
         self.time_period = time_period
         if time_period is not None:
-            if t_ref is None:
-                t_ref = _snap_up(sched, sched.t_min + horizon + 2 * sched.theta_bound)
-            self.t_ref = t_ref
+            self.t_ref = t_ref = _snap_up(
+                sched, sched.t_min + horizon + 2 * sched.theta_bound)
             candidates = np.concatenate([
                 t_ref + np.linspace(0.0, time_period, time_subdiv + 1),
                 [float(v) for v in sched.thetas
@@ -602,9 +569,8 @@ class CenterEvaluator:
     def point(self, t: float, d) -> np.ndarray:
         """Uncached graph value at exact time t and coordinates d."""
         res = eval_G(self.sys, self.sched, self.split, self.bundle, t, d,
-                     horizon=self.horizon, tol=self.tol,
-                     max_iter=self.max_iter, quad_step=self.quad_step,
-                     kappa=self.kappa)
+                     horizon=self.horizon, tol=self.tol, max_iter=40,
+                     quad_step=self.quad_step, kappa=self.kappa)
         return res.value
 
     # -- cached interpolation ----------------------------------------------

@@ -81,16 +81,15 @@ class StabilityVerdict:
 
 
 def build_reduced(sys: HybridSystem, sched: ArgumentSchedule,
-                  split: SpectralSplit, g_eval: CenterEvaluator,
-                  lipschitz_margin: float = 1.25) -> HybridSystem:
+                  split: SpectralSplit, g_eval: CenterEvaluator) -> HybridSystem:
     """The lower-dimensional system governing the neutral coordinates on the
     center surface: state v, linear part B_minus, nonlinearity
 
         (t, v, vbar) -> f_minus(t, (G(t, v), v), (G(beta(t), vbar), vbar))
 
     with G read through the memoized evaluator.  The declared Lipschitz
-    constant l (1 + P l) uses the sampled P inflated by ``lipschitz_margin``
-    so it stays an upper bound under sampling error.
+    constant l (1 + P l) uses the sampled P inflated by the margin 1.25 so
+    it stays an upper bound under sampling error.
     """
     k = split.k
     nm = sys.dim - k
@@ -109,7 +108,7 @@ def build_reduced(sys: HybridSystem, sched: ArgumentSchedule,
 
     P = g_eval.empirical_P()
     l = sys.lipschitz_l
-    l_red = l * (1.0 + lipschitz_margin * P * l)
+    l_red = l * (1.0 + 1.25 * P * l)
     pr = float(min(np.min(g_eval.hi), np.min(-g_eval.lo)))
     pr = min(1.0, 0.5 * pr) if pr > 0 else 0.1
     mids = np.linspace(0, len(sched.zetas) - 1, 3).astype(int)
@@ -143,12 +142,8 @@ class PhaseResult:
 
 def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
                      split: SpectralSplit, bundle: ConstantsBundle,
-                     zeta: float, z0, tol: float = 1e-8, max_iter: int = 25,
-                     *, step: float = 0.05, solver_tol: float = 1e-10,
-                     horizon: float | None = None, quad_step: float = 0.05,
-                     picard_tol: float | None = None, picard_max_iter: int = 60,
-                     g_tol: float | None = None, report_horizon: float | None = None,
-                     P: float | None = None) -> PhaseResult:
+                     zeta: float, z0, tol: float = 1e-8, *, step: float = 0.05,
+                     quad_step: float = 0.05) -> PhaseResult:
     """Companion solution on the center surface that the solution through
     (zeta, z0) approaches exponentially.
 
@@ -156,29 +151,26 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
     d = v0 - Ftil(zeta, u0 - G(zeta, d), d) by direct iteration from d0 = v0,
     where Ftil is the decaying-graph map of the system translated by the
     companion.  Iterates must stay in the ball |d - v0| <= |u0 - G(zeta, v0)|.
+    At most 25 steps; graph evaluations stop at ``tol / 10`` or 60 sweeps,
+    trajectories use anchor tolerance 1e-10, and the decay report covers
+    10 theta_bound past ``zeta``.
     """
     k = split.k
     zb0 = split.to_block(np.asarray(z0, dtype=float))
     u0, v0 = zb0[:k], zb0[k:]
-    if picard_tol is None:
-        picard_tol = tol / 10.0
-    if g_tol is None:
-        g_tol = tol / 10.0
-    if horizon is None:
-        horizon = default_stable_horizon(split, picard_tol)
-    g_kwargs = dict(horizon=None, tol=g_tol, max_iter=picard_max_iter,
+    picard_tol = tol / 10.0
+    g_kwargs = dict(horizon=None, tol=picard_tol, max_iter=60,
                     quad_step=quad_step)
 
     G_v0 = eval_G(sys, sched, split, bundle, zeta, v0, **g_kwargs).value
     r0 = float(np.linalg.norm(u0 - G_v0))
 
     p, K, l = bundle.p_const, split.K_const, bundle.l
-    if P is None:
-        scale = max(0.1, 0.5 * float(np.linalg.norm(v0)))
-        draws = v0 + np.random.default_rng(3).normal(size=(3, 2, len(v0))) * scale
-        P = _sampled_P(
-            lambda d: eval_G(sys, sched, split, bundle, zeta, d, **g_kwargs).value,
-            draws, bundle.l, min_gap=1e-12)
+    scale = max(0.1, 0.5 * float(np.linalg.norm(v0)))
+    draws = v0 + np.random.default_rng(3).normal(size=(3, 2, len(v0))) * scale
+    P = _sampled_P(
+        lambda d: eval_G(sys, sched, split, bundle, zeta, d, **g_kwargs).value,
+        draws, bundle.l, min_gap=1e-12)
     if 1.0 - p * P * K * l * l <= 0:
         raise SmallnessError(f"1 - pPKl^2 = {1 - p * P * K * l * l:.4g} <= 0")
     if p * K * l * (1.0 + P * l) > 1.0:
@@ -186,7 +178,8 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
             f"pKl(1 + Pl) = {p * K * l * (1 + P * l):.4g} > 1")
 
     fblock = _block_f(sys, split)
-    t_traj_end = _snap_up(sched, zeta + horizon)
+    t_traj_end = _snap_up(
+        sched, zeta + default_stable_horizon(split, picard_tol))
 
     def translated(mu_traj):
         cache: dict = {}
@@ -210,14 +203,14 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
     G_d = G_v0
     iterations = 0
     converged = r0 == 0.0
-    for j in range(1, max_iter + 1):
+    for j in range(1, 26):
         if converged:
             break
         mu0 = split.from_block(np.concatenate([G_d, d]))
-        mu_traj = solve_forward(sys, sched, zeta, mu0, t_traj_end, step, solver_tol)
+        mu_traj = solve_forward(sys, sched, zeta, mu0, t_traj_end, step, 1e-10)
         c_j = u0 - G_d
         Z, _ = _picard(split.B_plus, split.B_minus, translated(mu_traj), grid,
-                       c_j, np.zeros(len(v0)), picard_tol, picard_max_iter)
+                       c_j, np.zeros(len(v0)), picard_tol, 60)
         d_next = v0 - Z[0, k:]
         if float(np.linalg.norm(d_next - v0)) > r0 * (1 + 1e-8) + 1e-12:
             raise ContractionFailureError(
@@ -231,15 +224,13 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
             converged = True
     if not converged:
         raise DivergenceError(
-            f"companion iteration did not settle within {max_iter} steps")
+            "companion iteration did not settle within 25 steps")
 
-    if report_horizon is None:
-        report_horizon = 10.0 * sched.theta_bound
-    t_rep_end = min(_snap_up(sched, zeta + report_horizon), sched.t_max)
+    t_rep_end = min(_snap_up(sched, zeta + 10.0 * sched.theta_bound), sched.t_max)
     mu0 = split.from_block(np.concatenate([G_d, d]))
-    companion = solve_forward(sys, sched, zeta, mu0, t_rep_end, step, solver_tol)
+    companion = solve_forward(sys, sched, zeta, mu0, t_rep_end, step, 1e-10)
     ztraj = solve_forward(sys, sched, zeta, np.asarray(z0, dtype=float),
-                          t_rep_end, step, solver_tol)
+                          t_rep_end, step, 1e-10)
     ts = np.linspace(zeta, t_rep_end, 201)
     w = np.empty_like(ts)
     alpha = bundle.alpha
@@ -281,8 +272,8 @@ def classify_stability(sys: HybridSystem, sched: ArgumentSchedule,
                        escape_factor: float = 10.0, bound_factor: float = 3.0,
                        final_frac: float = 0.01, fit_r2: float = 0.98,
                        min_efolds: float = 1.0, n_random_dirs: int = 8,
-                       step: float = 0.1, tol: float = 1e-8, max_iter: int = 50,
-                       env_samples: int = 201) -> StabilityVerdict:
+                       step: float = 0.1, tol: float = 1e-8,
+                       max_iter: int = 50) -> StabilityVerdict:
     """Classify the trivial solution by integrating stars of initial points.
 
     For each start time and radius a star of directions is integrated over
@@ -295,11 +286,12 @@ def classify_stability(sys: HybridSystem, sched: ArgumentSchedule,
     the fit window (algebraic tails look locally log-linear but only manage
     a fixed fraction of an e-fold there, whatever the horizon).
     Excursions between the two thresholds yield "inconclusive".
-    All thresholds are sampling heuristics, configurable, not proofs.
+    The envelope is resampled on 201 points of the horizon.  All thresholds
+    are sampling heuristics, configurable, not proofs.
     """
     rng = np.random.default_rng(seed)
     dirs = _directions(sys.dim, n_random_dirs, rng)
-    tau_grid = np.linspace(0.0, horizon, env_samples)
+    tau_grid = np.linspace(0.0, horizon, 201)
     evidence = []
     curves = []
     saw_escape = False
@@ -418,19 +410,16 @@ def _effective(classification: str) -> str:
 def reduction_check(sys: HybridSystem, sched: ArgumentSchedule,
                     split: SpectralSplit, bundle: ConstantsBundle,
                     g_eval: CenterEvaluator, *, radii, horizon, t0_samples,
-                    require_conditions: bool = True,
-                    condition_probes: int = 100, seed: int = 0,
-                    **classify_kwargs) -> ReductionCheckResult:
+                    seed: int = 0, **classify_kwargs) -> ReductionCheckResult:
     """Classify the full system and its reduced neutral system with matched
     parameters; agreement compares verdicts with the exponential refinement
-    collapsed onto asymptotic stability."""
-    if require_conditions:
-        report = check_conditions(sys, sched, split, bundle,
-                                  probes=condition_probes, seed=seed)
-        failing = [e.name for e in report.entries if not e.passed]
-        if failing:
-            raise ParameterError(
-                f"hypotheses not satisfied on this system: {failing}")
+    collapsed onto asymptotic stability.  The paper's hypotheses are checked
+    first, with 100 probes, and any failing one raises ParameterError."""
+    report = check_conditions(sys, sched, split, bundle, probes=100, seed=seed)
+    failing = [e.name for e in report.entries if not e.passed]
+    if failing:
+        raise ParameterError(
+            f"hypotheses not satisfied on this system: {failing}")
     reduced = build_reduced(sys, sched, split, g_eval)
     full_verdict = classify_stability(sys, sched, radii, horizon, t0_samples,
                                       seed=seed, **classify_kwargs)

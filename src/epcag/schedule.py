@@ -24,6 +24,7 @@ class ArgumentSchedule:
     """Immutable pair of sequences (theta_i), (zeta_i) over a finite window.
 
     Invariants (checked at construction):
+      * every theta_i, zeta_i and theta_bound is finite
       * theta_i < theta_{i+1}
       * theta_i <= zeta_i <= theta_{i+1}
       * theta_{i+1} - theta_i <= theta_bound
@@ -44,6 +45,10 @@ class ArgumentSchedule:
         zetas.setflags(write=False)
         if thetas.ndim != 1 or zetas.ndim != 1:
             raise ScheduleValidationError("thetas and zetas must be 1-d sequences")
+        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(zetas))
+                and np.isfinite(self.theta_bound)):
+            raise ScheduleValidationError(
+                "thetas, zetas and theta_bound must be finite")
         if len(thetas) < 2:
             raise ScheduleValidationError("a schedule needs at least one interval")
         if len(zetas) != len(thetas) - 1:
@@ -114,13 +119,6 @@ class ArgumentSchedule:
     def beta(self, t: float) -> float:
         """Deviating-argument value: the anchor of the interval containing t."""
         return self.zeta(self.interval_index(t))
-
-    def gap(self, i: int) -> float:
-        """Length of interval i."""
-        p = i - self.i_min
-        if not 0 <= p < len(self.zetas):
-            raise ScheduleWindowError(i, self.i_min, self.i_max - 1)
-        return float(self.thetas[p + 1] - self.thetas[p])
 
 
 def interval_index(t: float, sched: ArgumentSchedule) -> int:

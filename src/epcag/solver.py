@@ -68,6 +68,8 @@ class HybridSystem:
         if A.shape != (self.dim, self.dim):
             raise SystemValidationError(
                 f"A must be {self.dim}x{self.dim}, got {A.shape}")
+        if not np.all(np.isfinite(A)):
+            raise SystemValidationError("A must be finite")
         if self.lipschitz_l < 0:
             raise SystemValidationError("lipschitz_l must be nonnegative")
         if self.validate:

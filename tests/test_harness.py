@@ -216,6 +216,41 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def _max_iter_one(self, recipe, cfg, tmp_path):
+        # mid-interval anchors need several anchor iterations, so a solver
+        # allowed only one must stop with a non-contraction record
+        cfg["solver"] = {"max_iter": 1, "step": 0.25}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main([recipe, "--config", str(cfg_path),
+                     "--out", str(out_dir)]) == 3
+        err = json.loads((out_dir / "report.json").read_text())["error"]
+        assert err["type"] == "NonContractionError"
+
+    def test_solver_max_iter_reaches_stability(self, tmp_path, capsys):
+        self._max_iter_one("stability", {
+            "system": {"matrix": [[-1.0, 0.0], [0.0, 0.0]],
+                       "nonlinearity": {"name": "epca-linear",
+                                        "params": {"b": 0.05}}},
+            "schedule": {"kind": "alternating", "window": [-2, 30]},
+            "stability": {"radii": [0.1], "t0_samples": [1.0],
+                          "horizon": 20.0, "step": 0.2}}, tmp_path)
+
+    def test_solver_max_iter_reaches_reduce(self, tmp_path, capsys):
+        thetas = [float(i) for i in range(-30, 31)]
+        self._max_iter_one("reduce", {
+            "system": {"matrix": [[-1.0, 0.0], [0.0, 0.0]],
+                       "nonlinearity": {"name": "center-cubic",
+                                        "params": {"a": 0.012}}},
+            "schedule": {"kind": "explicit", "thetas": thetas, "i_min": -30,
+                         "zetas": [t + 0.5 for t in thetas[:-1]]},
+            "manifold": {"tol": 1e-5, "quad_step": 0.1, "cache_box": 2.0,
+                         "cache_resolution": 5, "time_period": 1.0},
+            "stability": {"radii": [0.5], "t0_samples": [0.5],
+                          "horizon": 10.0, "step": 0.25,
+                          "n_random_dirs": 0}}, tmp_path)
+
 
 class TestHeavyRecipes:
     def test_manifold_G_recipe(self, tmp_path):
@@ -306,3 +341,28 @@ class TestConfigFailuresLeaveRecord:
     def test_example1_list_x0(self, tmp_path):
         cfg = {"recipe": "example1", "run": {"x0": [-10.0, 1.0]}}
         assert self._error(cfg, tmp_path)["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("recipe", ["simulate", "conditions"])
+    def test_nonfinite_matrix(self, recipe, tmp_path):
+        cfg = simulate_config(recipe=recipe)
+        cfg["system"] = dict(cfg["system"], matrix=[[float("nan"), 0.0],
+                                                    [0.0, 0.0]])
+        err = self._error(cfg, tmp_path)
+        assert err["type"] == "SystemValidationError"
+        assert "finite" in err["message"]
+
+    @pytest.mark.parametrize("recipe", ["simulate", "conditions"])
+    def test_infinite_schedule_theta(self, recipe, tmp_path):
+        cfg = simulate_config(recipe=recipe, schedule={
+            "kind": "explicit", "thetas": [0.0, 1.0, float("inf")],
+            "zetas": [0.0, 1.0]})
+        err = self._error(cfg, tmp_path)
+        assert err["type"] == "ConfigError" and "finite" in err["message"]
+
+    @pytest.mark.parametrize("recipe", ["simulate", "continue-backward",
+                                        "phase"])
+    def test_nonfinite_z0(self, recipe, tmp_path):
+        cfg = simulate_config(recipe=recipe,
+                              run={"t0": 4.0, "z0": [float("nan"), 0.5]})
+        err = self._error(cfg, tmp_path)
+        assert err["type"] == "ConfigError" and "run.z0" in err["message"]

@@ -18,7 +18,8 @@ from epcag.errors import (BoxExceededError, DivergenceError, EnvelopeError,
                           SmallnessError)
 from epcag.analysis import _sampled_sup
 from epcag import manifolds
-from epcag.manifolds import _check_envelope, _shifted_constants
+from epcag.manifolds import (_PanelGrid, _kernels, _check_envelope,
+                              _shifted_constants, _sweep)
 
 AMP = 0.01
 
@@ -123,13 +124,6 @@ class TestEvalF:
         bound = stable_tail_bound(split, bundle, abs(c), 8.0)
         assert abs(f1 - f2) <= bound
         assert abs(f1 - f2) > 0  # the comparison is not vacuous
-
-    def test_initialization_independence(self, stack):
-        sys, sched, split, bundle = stack
-        tol = 1e-10
-        a = eval_F(sys, sched, split, bundle, 0.0, [1.0], tol=tol, init="zero")
-        b = eval_F(sys, sched, split, bundle, 0.0, [1.0], tol=tol, init="linear")
-        assert np.linalg.norm(a.value - b.value) <= 10 * tol
 
     def test_smallness_gate(self, epca_sched, diag_split):
         big = 0.5
@@ -369,8 +363,6 @@ class TestQuadratureSweeps:
     def test_forward_sweep_fourth_order(self, epca_sched):
         from scipy.integrate import quad
 
-        from epcag.manifolds import _PanelGrid, _forward_sweep
-
         B = np.array([[-0.8]])
         g = lambda s: math.sin(1.3 * s) + 0.3 * s**2
         x0 = np.array([0.7])
@@ -383,14 +375,12 @@ class TestQuadratureSweeps:
             gv = [np.array([[g(grid.ts[p.start + q])]
                             for q in range(p.n_sub + 1)])
                   for p in grid.panels]
-            X = _forward_sweep(B, grid, gv, x0)
+            X = _sweep(B, grid, gv, x0)
             errs.append(abs(X[-1, 0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
     def test_backward_sweep_fourth_order_neutral_kernel(self, epca_sched):
         from scipy.integrate import quad
-
-        from epcag.manifolds import _PanelGrid, _backward_sweep
 
         B = np.array([[0.0]])  # neutral kernel, as in actual use
         g = lambda s: math.cos(0.9 * s) * math.exp(0.2 * s)
@@ -402,9 +392,72 @@ class TestQuadratureSweeps:
             gv = [np.array([[g(grid.ts[p.start + q])]
                             for q in range(p.n_sub + 1)])
                   for p in grid.panels]
-            X = _backward_sweep(B, grid, gv, xT)
+            X = _sweep(B, grid, gv, xT, backward=True)
             errs.append(abs(X[0, 0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+    @pytest.mark.parametrize("kind", ["alternating", "randomized"])
+    @pytest.mark.parametrize("B", [[[-0.6, 1.5], [0.0, -0.2]],
+                                   [[0.0, 1.0], [0.0, 0.0]]])
+    def test_merged_sweep_matches_the_two_directional_recursions(self, kind, B):
+        # oracle: the separate forward recursion and its right-to-left mirror
+        # image.  The forward one is the same arithmetic as _sweep; the
+        # backward one sums three quadrature terms in another order.
+        if kind == "alternating":  # a short last panel
+            sched = make_schedule("alternating", window=(-2, 6))
+            grid = _PanelGrid(sched, sched.t_min, sched.t_max - 0.3, 0.1)
+        else:
+            sched = make_schedule("randomized", window=(0, 12), theta_bound=1.3,
+                                  seed=5, t_start=-1.0)
+            grid = _PanelGrid(sched, sched.t_min, sched.t_max, 0.1)
+        assert len({round(p.delta, 12) for p in grid.panels}) > 1
+        B = np.array(B)
+        g = lambda s: np.array([math.sin(1.3 * s) + 0.3,
+                                math.cos(0.7 * s) * math.exp(0.1 * s)])
+        gv = [np.array([g(grid.ts[p.start + q]) for q in range(p.n_sub + 1)])
+              for p in grid.panels]
+        x = np.array([0.7, -0.4])
+        for new, old in ((_sweep(B, grid, gv, x), forward_sweep(B, grid, gv, x)),
+                         (_sweep(B, grid, gv, x, backward=True),
+                          backward_sweep(B, grid, gv, x))):
+            assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
+        assert np.array_equal(_sweep(B, grid, gv, x)[0], x)
+        assert np.array_equal(_sweep(B, grid, gv, x, backward=True)[-1], x)
+
+
+def forward_sweep(B, grid, gvals, init):
+    X = np.zeros((len(grid), B.shape[0]))
+    X[0] = init
+    cache: dict = {}
+    for p, g in zip(grid.panels, gvals):
+        E1, E2, E1inv = _kernels(B, p.delta, cache)
+        base, dl = p.start, p.delta
+        for q in range(0, p.n_sub, 2):
+            g0, g1, g2 = g[q], g[q + 1], g[q + 2]
+            x0 = X[base + q]
+            X[base + q + 1] = E1 @ x0 + (dl / 12.0) * (
+                5.0 * (E1 @ g0) + 8.0 * g1 - E1inv @ g2)
+            X[base + q + 2] = E2 @ x0 + (dl / 3.0) * (
+                E2 @ g0 + 4.0 * (E1 @ g1) + g2)
+    return X
+
+
+def backward_sweep(B, grid, gvals, terminal):
+    N = len(grid)
+    X = np.zeros((N, B.shape[0]))
+    X[N - 1] = terminal
+    cache: dict = {}
+    for p, g in zip(reversed(grid.panels), reversed(gvals)):
+        E1b, E2b, E1binv = _kernels(-B, p.delta, cache)
+        base, dl = p.start, p.delta
+        for q in range(p.n_sub - 2, -1, -2):
+            g0, g1, g2 = g[q], g[q + 1], g[q + 2]
+            x2 = X[base + q + 2]
+            X[base + q + 1] = E1b @ x2 - (dl / 12.0) * (
+                -(E1binv @ g0) + 8.0 * g1 + 5.0 * (E1b @ g2))
+            X[base + q] = E2b @ x2 - (dl / 3.0) * (
+                g0 + 4.0 * (E1b @ g1) + E2b @ g2)
+    return X
 
 
 class TestCenterEvaluatorAdvancedAnchors:
