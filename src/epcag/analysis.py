@@ -59,7 +59,8 @@ class SpectralSplit:
         return self.transform @ np.asarray(z, dtype=float)
 
     def from_block(self, zh: np.ndarray) -> np.ndarray:
-        return self.transform_inv @ np.asarray(zh, dtype=float)
+        """Original coordinates of a block vector or of stacked block rows."""
+        return (self.transform_inv @ np.asarray(zh, dtype=float).T).T
 
     @property
     def is_identity_transform(self) -> bool:
@@ -121,39 +122,43 @@ def _max_jordan_block(B: np.ndarray, tol: float = 1e-7) -> int:
     return largest
 
 
-def _sampled_sup(B: np.ndarray, weight, T_check: float, n_grid: int = 400) -> float:
-    """max over a t-grid of |exp(B t)| / weight(t), via repeated squaring-free
-    stepping exp(B (j dt)) = E^j."""
+def _sampled_sup(B: np.ndarray, weight, T_check: float) -> float:
+    """max over a 400-step t-grid of |exp(B t)| / weight(t), via repeated
+    squaring-free stepping exp(B (j dt)) = E^j."""
     if B.shape[0] == 0:
         return 0.0
     import scipy.linalg as sla  # deferred: most of epcag's import time
-    dt = T_check / n_grid
+    steps = 400
+    dt = T_check / steps
     E = sla.expm(B * dt)
     P = np.eye(B.shape[0])
     best = np.linalg.norm(P, 2) / weight(0.0)
-    for j in range(1, n_grid + 1):
+    for j in range(1, steps + 1):
         P = E @ P
         best = max(best, np.linalg.norm(P, 2) / weight(j * dt))
     return float(best)
 
 
-def fit_growth_constant(B_plus: np.ndarray, B_minus: np.ndarray, sigma: float,
-                        m_pow: int, T_check: float, n_grid: int = 400) -> float:
-    """Numerically fitted K with 10% inflation (grid gaps absorbed)."""
-    r1 = _sampled_sup(B_plus, lambda t: math.exp(-sigma * t), T_check, n_grid)
-    r2 = _sampled_sup(-B_minus, lambda t: 1.0 + t**m_pow, T_check, n_grid)
+def fit_growth_constant(B_plus: np.ndarray, B_minus: np.ndarray, w_plus, w_minus,
+                        T_check: float) -> float:
+    """Numerically fitted K with 10% inflation (grid gaps absorbed):
+    |exp(B_plus t)| <= K w_plus(t) and |exp(-B_minus t)| <= K w_minus(t)
+    on [0, T_check]."""
+    r1 = _sampled_sup(B_plus, w_plus, T_check)
+    r2 = _sampled_sup(-B_minus, w_minus, T_check)
     return 1.1 * max(1.0, r1, r2)
 
 
-def spectral_split(A: np.ndarray, tol_eig: float = 1e-7, sigma: float | None = None,
-                   T_check: float | None = None) -> SpectralSplit:
+def spectral_split(A: np.ndarray, sigma: float | None = None) -> SpectralSplit:
     """Order-and-split A into its decaying and neutral blocks.
 
-    Every eigenvalue must satisfy Re < -tol_eig or |Re| <= tol_eig; anything
-    with Re > tol_eig is rejected (the constructions assume no expanding
+    Every eigenvalue must satisfy Re < -1e-7 or |Re| <= 1e-7; anything
+    with Re > 1e-7 is rejected (the constructions assume no expanding
     directions).  The change of basis comes from an ordered real Schur form
-    with the coupling block removed by a Sylvester solve.
+    with the coupling block removed by a Sylvester solve.  The growth
+    constant is fitted over [0, 20 / sigma].
     """
+    tol_eig = 1e-7
     import scipy.linalg as sla  # deferred: most of epcag's import time
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
@@ -176,7 +181,7 @@ def spectral_split(A: np.ndarray, tol_eig: float = 1e-7, sigma: float | None = N
         if sdim != k:
             raise SpectrumError(
                 f"Schur ordering placed {sdim} eigenvalues in the decaying "
-                f"block, expected {k}; tighten tol_eig"
+                f"block, expected {k}"
             )
         T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
         S[:k, k:] = sla.solve_sylvester(T11, -T22, -T12)
@@ -199,9 +204,8 @@ def spectral_split(A: np.ndarray, tol_eig: float = 1e-7, sigma: float | None = N
         raise ParameterError("sigma must be positive")
 
     m_pow = max(0, _max_jordan_block(B_minus) - 1)
-    if T_check is None:
-        T_check = 20.0 / sigma
-    K_const = fit_growth_constant(B_plus, B_minus, sigma, m_pow, T_check)
+    K_const = fit_growth_constant(B_plus, B_minus, lambda t: math.exp(-sigma * t),
+                                  lambda t: 1.0 + t**m_pow, 20.0 / sigma)
     return SpectralSplit(
         k=k, transform=transform, B_plus=B_plus, B_minus=B_minus,
         sigma=float(sigma), K_const=K_const, m_pow=m_pow, mu=mu,

@@ -161,12 +161,16 @@ def build_system(system_cfg: dict) -> HybridSystem:
     if name not in _CATALOG:
         raise ConfigError(
             f"unknown nonlinearity {name!r}; catalog: {sorted(_CATALOG)}")
-    f, l = _CATALOG[name]["factory"](nl.get("params", {}), dim)
-    if "lipschitz_l" in system_cfg and system_cfg["lipschitz_l"] is not None:
-        l = float(system_cfg["lipschitz_l"])
-    probe_radius = float(system_cfg.get("probe_radius", 1.0))
-    if name == "example1-quadratic":
-        probe_radius = float(nl.get("params", {}).get("radius", 15.0))
+    try:
+        f, l = _CATALOG[name]["factory"](nl.get("params", {}), dim)
+        if "lipschitz_l" in system_cfg and system_cfg["lipschitz_l"] is not None:
+            l = float(system_cfg["lipschitz_l"])
+        probe_radius = float(system_cfg.get("probe_radius", 1.0))
+        if name == "example1-quadratic":
+            probe_radius = float(nl.get("params", {}).get("radius", 15.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"system parameters invalid ({type(exc).__name__}: "
+                          f"{exc})") from exc
     return HybridSystem(A, f, l, dim, probe_radius=probe_radius)
 
 
@@ -215,12 +219,37 @@ _STABILITY_DEFAULTS = {
 }
 
 
+def _number(key: str, val):
+    """A section value read as the type its key takes."""
+    if key in ("radii", "t0_samples"):
+        if len(val) == 0:
+            raise ValueError("needs at least one entry")
+        return [float(v) for v in val]
+    if key == "cache_box":  # one half-width, or (lo, hi) per coordinate
+        return np.asarray(val, dtype=float).tolist()
+    if key in ("max_iter", "cache_resolution", "time_subdiv", "n_random_dirs"):
+        return int(val)
+    return float(val)
+
+
 def _merged(defaults: dict, given: dict, section: str) -> dict:
+    """Defaults updated by the given section, every value read as a number;
+    null stays null only where the default is null."""
     out = dict(defaults)
+    if not isinstance(given or {}, dict):
+        raise ConfigError(f"{section} must be an object, got {given!r}")
     for key, val in (given or {}).items():
         if key not in defaults:
             raise ConfigError(f"unknown key {section}.{key}")
         out[key] = val
+    for key, val in out.items():
+        if val is None and defaults[key] is None:
+            continue
+        try:
+            out[key] = _number(key, val)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{section}.{key} = {val!r} is not numeric: "
+                              f"{exc}") from exc
     return out
 
 
@@ -249,11 +278,17 @@ class ExperimentConfig:
         manifold = _merged(_MANIFOLD_DEFAULTS, cfg.get("manifold", {}), "manifold")
         stability = _merged(_STABILITY_DEFAULTS, cfg.get("stability", {}),
                             "stability")
-        for key in ("step", "tol"):
-            if not solver[key] > 0:
-                raise ConfigError(f"solver.{key} must be positive")
-        if not int(solver["max_iter"]) > 0:
-            raise ConfigError("solver.max_iter must be positive")
+        for name, val in (("solver.step", solver["step"]),
+                          ("solver.tol", solver["tol"]),
+                          ("solver.max_iter", solver["max_iter"]),
+                          ("manifold.quad_step", manifold["quad_step"]),
+                          ("manifold.max_iter", manifold["max_iter"])):
+            if not val > 0:
+                raise ConfigError(f"{name} must be positive, got {val}")
+        try:
+            seed = int(cfg.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seed must be an integer: {exc}") from exc
         return cls(
             recipe=recipe,
             system=cfg.get("system", {}),
@@ -262,7 +297,7 @@ class ExperimentConfig:
             manifold=manifold,
             stability=stability,
             run_params=cfg.get("run", {}),
-            seed=int(cfg.get("seed", 0)),
+            seed=seed,
             raw=cfg,
         )
 
@@ -382,9 +417,9 @@ def _dispatch(cfg: ExperimentConfig, out_dir) -> dict:
     raise ConfigError(f"unhandled recipe {cfg.recipe!r}")
 
 
-def _check_finite_z0(z0: np.ndarray):
-    if not np.all(np.isfinite(z0)):
-        raise ConfigError(f"run.z0 must be finite, got {z0.tolist()}")
+def _check_z0(z0: np.ndarray, dim: int):
+    if z0.shape != (dim,) or not np.all(np.isfinite(z0)):
+        raise ConfigError(f"run.z0 must be {dim} finite numbers, got {z0.tolist()}")
 
 
 def _recipe_simulate(cfg, sys, sched, out_dir, forward: bool) -> dict:
@@ -396,13 +431,13 @@ def _recipe_simulate(cfg, sys, sched, out_dir, forward: bool) -> dict:
         t1 = float(rp.get(key, sched.t_max if forward else sched.t_min))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"run.t0 / run.z0 / run.{key} invalid: {exc}") from exc
-    _check_finite_z0(z0)
+    _check_z0(z0, sys.dim)
     if not (t0 < t1 if forward else t1 < t0):
         raise ConfigError(f"run.{key} = {t1} must lie "
                           f"{'after' if forward else 'before'} run.t0 = {t0}")
     sv = cfg.solver
     solve = solve_forward if forward else solve_backward
-    traj = solve(sys, sched, t0, z0, t1, sv["step"], sv["tol"], int(sv["max_iter"]))
+    traj = solve(sys, sched, t0, z0, t1, sv["step"], sv["tol"], sv["max_iter"])
     name = f"trajectory_{'forward' if forward else 'backward'}.csv"
     write_trajectory_csv(traj, out_dir / name)
     return {"trajectory": trajectory_report(traj), "csv": name}
@@ -432,6 +467,8 @@ def _grid_1d(grid_cfg: dict) -> np.ndarray:
     lo = float(grid_cfg.get("lo", -1.0))
     hi = float(grid_cfg.get("hi", 1.0))
     count = int(grid_cfg.get("count", 21))
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     return np.linspace(lo, hi, count)
 
 
@@ -439,9 +476,12 @@ def _recipe_manifold(cfg, sys, sched, out_dir, kind: str) -> dict:
     split, bundle = _analysis_stack(sys, sched, cfg)
     mf = cfg.manifold
     rp = cfg.run_params
-    i = int(rp.get("anchor_index", sched.i_min))
+    try:
+        i = int(rp.get("anchor_index", sched.i_min))
+        grid = _grid_1d(rp.get("grid", {}))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"run.anchor_index / run.grid invalid: {exc}") from exc
     zeta = sched.zeta(i)
-    grid = _grid_1d(rp.get("grid", {}))
     coord_dim = split.k if kind == "F" else sys.dim - split.k
     if coord_dim != 1:
         raise ConfigError(
@@ -454,11 +494,11 @@ def _recipe_manifold(cfg, sys, sched, out_dir, kind: str) -> dict:
         if kind == "F":
             res = eval_F(sys, sched, split, bundle, zeta, np.array([x]),
                          horizon=mf["horizon"], tol=mf["tol"],
-                         max_iter=int(mf["max_iter"]), quad_step=mf["quad_step"])
+                         max_iter=mf["max_iter"], quad_step=mf["quad_step"])
         else:
             res = eval_G(sys, sched, split, bundle, zeta, np.array([x]),
                          horizon=mf["horizon"], tol=mf["tol"],
-                         max_iter=int(mf["max_iter"]), quad_step=mf["quad_step"],
+                         max_iter=mf["max_iter"], quad_step=mf["quad_step"],
                          kappa=mf["kappa"])
         rows.append((x, res.value))
         diag.append({"coord": float(x), "iterates": res.iterates,
@@ -481,12 +521,12 @@ def _recipe_phase(cfg, sys, sched, out_dir) -> dict:
     rp = cfg.run_params
     try:
         z0 = np.asarray(rp["z0"], dtype=float)
+        i = int(rp.get("anchor_index", sched.i_min))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"run.z0 invalid: {exc}") from exc
-    _check_finite_z0(z0)
+        raise ConfigError(f"run.z0 / run.anchor_index invalid: {exc}") from exc
+    _check_z0(z0, sys.dim)
     split, bundle = _analysis_stack(sys, sched, cfg)
     sv = cfg.solver
-    i = int(rp.get("anchor_index", sched.i_min))
     zeta = sched.zeta(i)
     res = asymptotic_phase(sys, sched, split, bundle, zeta, z0,
                            tol=cfg.manifold["tol"], step=sv["step"],
@@ -516,14 +556,14 @@ def _stability_kwargs(cfg, sched):
     if t0_samples is None:
         t0_samples = _default_t0_samples(sched, horizon)
     radii = st.pop("radii")
-    return radii, float(horizon), list(t0_samples), st
+    return radii, horizon, t0_samples, st
 
 
 def _recipe_stability(cfg, sys, sched) -> dict:
     radii, horizon, t0_samples, kw = _stability_kwargs(cfg, sched)
     verdict = classify_stability(sys, sched, radii, horizon, t0_samples,
                                  seed=cfg.seed, tol=cfg.solver["tol"],
-                                 max_iter=int(cfg.solver["max_iter"]), **kw)
+                                 max_iter=cfg.solver["max_iter"], **kw)
     print(f"classification: {verdict.classification}"
           + (f" (rate {verdict.rate:.4g})" if verdict.rate else ""))
     return {"verdict": verdict.as_dict()}
@@ -535,14 +575,14 @@ def _recipe_reduce(cfg, sys, sched) -> dict:
     radii, horizon, t0_samples, kw = _stability_kwargs(cfg, sched)
     g_eval = CenterEvaluator(
         sys, sched, split, bundle, box=mf["cache_box"],
-        resolution=int(mf["cache_resolution"]), tol=mf["tol"],
+        resolution=mf["cache_resolution"], tol=mf["tol"],
         quad_step=mf["quad_step"], kappa=mf["kappa"],
-        time_period=mf["time_period"], time_subdiv=int(mf["time_subdiv"]),
+        time_period=mf["time_period"], time_subdiv=mf["time_subdiv"],
         horizon=mf["horizon"])
     result = reduction_check(sys, sched, split, bundle, g_eval, radii=radii,
                              horizon=horizon, t0_samples=t0_samples,
                              seed=cfg.seed, tol=cfg.solver["tol"],
-                             max_iter=int(cfg.solver["max_iter"]), **kw)
+                             max_iter=cfg.solver["max_iter"], **kw)
     width = 24
     print(f"{'':{width}}{'full':<24}reduced")
     print(f"{'classification':{width}}{result.full.classification:<24}"
@@ -578,7 +618,7 @@ def _recipe_example1(cfg, out_dir) -> dict:
                "real_anchor_exists": bool(disc >= 0)}
     try:
         solve_forward(sys, sched, -1.0, np.array([x0]), 1.0, sv["step"],
-                      sv["tol"], int(sv["max_iter"]))
+                      sv["tol"], sv["max_iter"])
         forward["outcome"] = "continued"
     except NonContractionError as err:
         forward["outcome"] = "non-continuation"
@@ -607,7 +647,7 @@ def _recipe_example1(cfg, out_dir) -> dict:
     }
     try:
         traj_b = solve_backward(sys, sched, 1.0, np.array([endpoint(z0v)]),
-                                -1.0, sv["step"], sv["tol"], int(sv["max_iter"]))
+                                -1.0, sv["step"], sv["tol"], sv["max_iter"])
         backward["outcome"] = ("nonuniqueness-warning"
                                if traj_b.nonuniqueness_warning else "continued")
     except NonContractionError as err:

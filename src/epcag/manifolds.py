@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import ConstantsBundle, SpectralSplit, _sampled_sup
+from .analysis import ConstantsBundle, SpectralSplit, fit_growth_constant
 from .errors import (BoxExceededError, DivergenceError, EnvelopeError,
                      ParameterError, SmallnessError)
 from .schedule import ArgumentSchedule
@@ -76,6 +76,8 @@ class _PanelGrid:
                  max_h: float):
         if not t_lo < t_hi:
             raise ParameterError(f"empty quadrature window [{t_lo}, {t_hi}]")
+        if not max_h > 0:
+            raise ParameterError(f"quadrature step must be positive, got {max_h}")
         cuts = {t_lo, t_hi}
         for p in range(len(sched.thetas)):
             th = float(sched.thetas[p])
@@ -163,14 +165,15 @@ def _sweep(B, grid: _PanelGrid, gvals, x0, backward: bool = False):
     return X[::-1] if backward else X
 
 
-def _eval_g_panels(fblock, grid: _PanelGrid, Z: np.ndarray, n: int):
+def _eval_g_panels(fblock, grid: _PanelGrid, Z: np.ndarray):
+    """Samples of fblock(t_j, Z_j, Z(beta(t_j))) on every panel of ``grid``."""
     out = []
     for p in grid.panels:
         w = Z[p.beta_idx]
-        loc = np.empty((p.n_sub + 1, n))
+        loc = np.empty((p.n_sub + 1, Z.shape[1]))
         for q in range(p.n_sub + 1):
             j = p.start + q
-            loc[q] = fblock(grid.ts[j], Z[j], w, p.t_beta)
+            loc[q] = fblock(grid.ts[j], Z[j], w)
         out.append(loc)
     return out
 
@@ -178,10 +181,10 @@ def _eval_g_panels(fblock, grid: _PanelGrid, Z: np.ndarray, n: int):
 def _block_f(sys: HybridSystem, split: SpectralSplit):
     """The nonlinearity written in the block coordinates of the split."""
     if split.is_identity_transform:
-        return lambda t, z, w, tb: np.asarray(sys.f(t, z, w), dtype=float)
+        return lambda t, z, w: np.asarray(sys.f(t, z, w), dtype=float)
     Tm = split.transform
     Tinv = split.transform_inv
-    return lambda t, z, w, tb: Tm @ np.asarray(sys.f(t, Tinv @ z, Tinv @ w), dtype=float)
+    return lambda t, z, w: Tm @ np.asarray(sys.f(t, Tinv @ z, Tinv @ w), dtype=float)
 
 
 def _snap_up(sched: ArgumentSchedule, t: float) -> float:
@@ -215,26 +218,28 @@ def stable_tail_bound(split: SpectralSplit, bundle: ConstantsBundle,
     return 2.0 * K**2 * l * c_norm * (1.0 + math.exp(a * th)) * tail
 
 
-def _picard(Bp, Bm, gfun, grid: _PanelGrid, u0, v_end, tol, max_iter):
+def _picard(Bp, Bm, g, grid: _PanelGrid, u0, v_end, tol, max_iter, weight=1.0):
     """Successive approximation of the split integral system on ``grid``.
 
-    Starting from the zero iterate, each sweep evaluates the nonlinearity
-    ``gfun`` along the current iterate, then integrates the first block
+    Starting from the zero iterate, each sweep maps the current samples Z to
+    the nonlinearity's panel samples ``g(Z)``, then integrates the first block
     forward from ``u0`` at t_0 and the second block backward from ``v_end``
-    at t_N.  Stops when the sup-norm change drops below ``tol``; raises
-    :class:`DivergenceError` when it stops decreasing or ``max_iter`` sweeps
-    pass.  Returns the converged samples and the delta of every sweep.
+    at t_N.  Stops when the weighted sup-norm change max_j weight_j |dZ_j|
+    drops below ``tol``; raises :class:`DivergenceError` when it stops
+    decreasing or ``max_iter`` sweeps pass.  Returns the converged samples
+    and the delta of every sweep.
     """
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     k = Bp.shape[0]
-    n = k + Bm.shape[0]
-    Z = np.zeros((len(grid), n))
+    Z = np.zeros((len(grid), k + Bm.shape[0]))
     deltas: list = []
     for m in range(max_iter):
-        g = _eval_g_panels(gfun, grid, Z, n)
-        U = _sweep(Bp, grid, [gi[:, :k] for gi in g], u0)
-        V = _sweep(Bm, grid, [gi[:, k:] for gi in g], v_end, backward=True)
+        gv = g(Z)
+        U = _sweep(Bp, grid, [gi[:, :k] for gi in gv], u0)
+        V = _sweep(Bm, grid, [gi[:, k:] for gi in gv], v_end, backward=True)
         Znew = np.hstack([U, V])
-        delta = float(np.max(np.linalg.norm(Znew - Z, axis=1)))
+        delta = float(np.max(weight * np.linalg.norm(Znew - Z, axis=1)))
         Z = Znew
         if deltas and delta >= deltas[-1] and delta > tol:
             deltas.append(delta)
@@ -281,7 +286,8 @@ def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
     if c.shape != (k,):
         raise ParameterError(f"c must have length {k}, got shape {c.shape}")
     grid = _PanelGrid(sched, zeta, _snap_up(sched, zeta + horizon), quad_step)
-    Z, deltas = _picard(split.B_plus, split.B_minus, fblock, grid, c,
+    Z, deltas = _picard(split.B_plus, split.B_minus,
+                        lambda Z: _eval_g_panels(fblock, grid, Z), grid, c,
                         np.zeros(sys.dim - k), tol, max_iter)
     value = Z[0, k:].copy()
     c_norm = float(np.linalg.norm(c))
@@ -289,16 +295,12 @@ def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
     _check_envelope(np.linalg.norm(Z, axis=1),
                     2.0 * K * c_norm * np.exp(-alpha * (grid.ts - zeta)),
                     tol, c_norm, "decay")
-    if split.is_identity_transform:
-        zs = Z.copy()
-    else:
-        zs = Z @ split.transform_inv.T
     return ManifoldApprox(
         kind="stable", anchor_time=float(zeta),
         horizon=float(grid.ts[-1] - zeta), iterates=len(deltas) - 1,
         lipschitz_bound=bundle.p_const * K * bundle.l,
-        last_delta=deltas[-1], value=value, ts=grid.ts.copy(), zs=zs,
-        deltas=deltas)
+        last_delta=deltas[-1], value=value, ts=grid.ts.copy(),
+        zs=split.from_block(Z), deltas=deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +310,19 @@ def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
 _SHIFTED_K: dict = {}
 
 
-def _shifted_constants(split: SpectralSplit, kappa: float, kappa_bar: float,
-                       T_check: float = 60.0) -> float:
-    """Fitted growth constant for the exponentially shifted blocks, memoized
-    on the blocks' shapes and bytes: every eval_G of a run asks for it."""
+def _shifted_constants(split: SpectralSplit, kappa: float, kappa_bar: float) -> float:
+    """Growth constant of the exponentially shifted blocks with weight
+    e^{-kappa_bar t} on [0, 60], memoized on the blocks' shapes and bytes:
+    every eval_G of a run asks for it."""
     Bp, Bm = split.B_plus, split.B_minus
-    key = (Bp.shape, Bp.tobytes(), Bm.shape, Bm.tobytes(), kappa, kappa_bar,
-           T_check)
+    key = (Bp.shape, Bp.tobytes(), Bm.shape, Bm.tobytes(), kappa, kappa_bar)
     if key not in _SHIFTED_K:
         weight = lambda t: math.exp(-kappa_bar * t)
-        r1 = _sampled_sup(Bp + kappa * np.eye(split.k), weight, T_check)
-        r2 = _sampled_sup(-(Bm + kappa * np.eye(Bm.shape[0])), weight, T_check)
         if len(_SHIFTED_K) >= 32:
             _SHIFTED_K.clear()
-        _SHIFTED_K[key] = 1.1 * max(1.0, r1, r2)
+        _SHIFTED_K[key] = fit_growth_constant(
+            Bp + kappa * np.eye(split.k), Bm + kappa * np.eye(Bm.shape[0]),
+            weight, weight, 60.0)
     return _SHIFTED_K[key]
 
 
@@ -329,17 +330,18 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
            bundle: ConstantsBundle, zeta: float, d, horizon: float | None = None,
            tol: float = 1e-8, max_iter: int = 60, quad_step: float = 0.05,
            kappa: float | None = None) -> ManifoldApprox:
-    """Graph value of the center surface at (zeta, d) via the exponential
-    shift that turns the neutral block into an expanding one.
+    """Graph value of the center surface at (zeta, d) from the
+    backward-truncated integral system over [zeta - horizon, zeta].
 
-    The shifted state eta(t) = z(t) e^{kappa t} satisfies a system whose
-    blocks are B_plus + kappa I and B_minus + kappa I and whose nonlinearity
-    g(t, z, y) = e^{kappa t} f(t, z e^{-kappa t}, y e^{-kappa beta(t)}) has
-    Lipschitz constant l e^{kappa theta}.  Successive approximation runs on
-    the backward-truncated integral system over [zeta - horizon, zeta]; the
-    graph value maps back through G(zeta, d) = e^{-kappa zeta} Gbar(zeta,
-    d e^{kappa zeta}).  The weight exponents follow from kappa:
-    kappa_bar = 0.9 min(sigma - kappa, kappa) and alpha1 = kappa_bar / 4.
+    The exponential shift eta(t) = z(t) e^{kappa t} turns the neutral block
+    into an expanding one: its blocks are B_plus + kappa I and
+    B_minus + kappa I and its nonlinearity has Lipschitz constant
+    l e^{kappa theta}.  The shift gives the contraction constants and the
+    sweep norm max_j e^{kappa t_j} |z_j|; the successive approximation runs
+    on the unshifted blocks, which gives the same iterates because the
+    kernel-weighted quadrature commutes with the shift.  The weight
+    exponents follow from kappa: kappa_bar = 0.9 min(sigma - kappa, kappa)
+    and alpha1 = kappa_bar / 4.
     """
     if not bundle.c10_pass:
         raise SmallnessError(
@@ -369,39 +371,23 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
     if horizon is None:
         horizon = math.log(K_bar / max(tol, 1e-12)) / sigma
 
-    Bp_s = split.B_plus + kappa * np.eye(k)
-    Bm_s = split.B_minus + kappa * np.eye(nm)
     fblock = _block_f(sys, split)
-
-    def gblock(t, eta, eta_b, t_beta):
-        ekt = math.exp(-kappa * t)
-        ekb = math.exp(-kappa * t_beta)
-        return math.exp(kappa * t) * fblock(t, eta * ekt, eta_b * ekb, t_beta)
-
-    t_lo = _snap_down(sched, zeta - horizon)
-    grid = _PanelGrid(sched, t_lo, zeta, quad_step)
-    Z, deltas = _picard(Bp_s, Bm_s, gblock, grid, np.zeros(k),
-                        d * math.exp(kappa * zeta), tol, max_iter)
-
-    gbar = Z[-1, :k]
-    value = math.exp(-kappa * zeta) * gbar
-    # unshift: state samples in block coordinates, then back to original ones
-    zb = Z * np.exp(-kappa * grid.ts)[:, None]
+    grid = _PanelGrid(sched, _snap_down(sched, zeta - horizon), zeta, quad_step)
+    Z, deltas = _picard(split.B_plus, split.B_minus,
+                        lambda Z: _eval_g_panels(fblock, grid, Z), grid,
+                        np.zeros(k), d, tol, max_iter,
+                        weight=np.exp(kappa * grid.ts))
     d_norm = float(np.linalg.norm(d))
     alpha_tilde = kappa - alpha1
-    _check_envelope(np.linalg.norm(zb, axis=1),
+    _check_envelope(np.linalg.norm(Z, axis=1),
                     2.0 * K_bar * d_norm * np.exp(-alpha_tilde * (grid.ts - zeta)),
                     tol, d_norm, "backward")
-    if split.is_identity_transform:
-        zs = zb
-    else:
-        zs = zb @ split.transform_inv.T
     return ManifoldApprox(
         kind="center", anchor_time=float(zeta),
         horizon=float(zeta - grid.ts[0]), iterates=len(deltas) - 1,
         lipschitz_bound=p_bar * K_bar * l_shift,
-        last_delta=deltas[-1], value=value, ts=grid.ts.copy(), zs=zs,
-        deltas=deltas)
+        last_delta=deltas[-1], value=Z[-1, :k].copy(), ts=grid.ts.copy(),
+        zs=split.from_block(Z), deltas=deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +484,11 @@ class CenterEvaluator:
     small set of time nodes, then interpolated multilinearly in the
     coordinates and linearly in time.  When the system is autonomous and the
     schedule repeats with period ``time_period``, time is wrapped into one
-    period so the cache stays small; otherwise time nodes are laid per
-    schedule interval.  The period starts one horizon plus 2 theta_bound into
-    the schedule; each cell is one :func:`eval_G` of at most 40 sweeps.
+    period so the cache stays small; otherwise time nodes are laid on the
+    breakpoints and anchors at least one horizon into the schedule, and
+    earlier times read the first node.  The period starts one horizon plus
+    2 theta_bound into the schedule; each cell is one :func:`eval_G` of at
+    most 40 sweeps.
 
     Concurrent readers are safe; concurrent insertions of the same key may
     race but agree to tolerance, so last-write-wins is acceptable.
@@ -551,19 +539,22 @@ class CenterEvaluator:
             nodes = np.unique(np.concatenate([sched.thetas, sched.zetas]))
         # keep only times where the graph construction is well posed: the
         # evaluation time must not precede its own interval's anchor (an
-        # advanced anchor would fall outside the backward quadrature window)
+        # advanced anchor would fall outside the backward quadrature window),
+        # and the backward window must start inside the schedule
         self.time_nodes = np.array([t for t in nodes
                                     if self._anchor_ok(float(t))])
         if len(self.time_nodes) < 2:
             raise ParameterError(
                 "fewer than two admissible time nodes; on schedules with "
-                "advanced anchors use the native anchor times")
+                "advanced anchors use the native anchor times, and the "
+                "schedule must extend one horizon before them")
         self._cache: dict = {}
         self._P: float | None = None
 
     def _anchor_ok(self, t: float) -> bool:
         i = self.sched.interval_index(t)
-        return self.sched.zeta(i) <= t or self.sched.theta(i) == t
+        return ((self.sched.zeta(i) <= t or self.sched.theta(i) == t)
+                and t - self.horizon >= self.sched.t_min)
 
     # -- raw evaluation ----------------------------------------------------
     def point(self, t: float, d) -> np.ndarray:

@@ -18,8 +18,8 @@ from .errors import (
     ParameterError,
     SmallnessError,
 )
-from .manifolds import CenterEvaluator, _PanelGrid, _block_f, _picard, _sampled_P, \
-    _snap_up, eval_G, default_stable_horizon
+from .manifolds import CenterEvaluator, _PanelGrid, _block_f, _eval_g_panels, \
+    _picard, _sampled_P, _snap_up, eval_G, default_stable_horizon
 from .schedule import ArgumentSchedule
 from .solver import HybridSystem, Trajectory, solve_forward, _locate_right_closed, \
     _march
@@ -104,7 +104,7 @@ def build_reduced(sys: HybridSystem, sched: ArgumentSchedule,
         ub = g_eval.at(tb, vbar)
         zb = np.concatenate([u, np.atleast_1d(v)])
         wb = np.concatenate([ub, np.atleast_1d(vbar)])
-        return fblock(t, zb, wb, tb)[k:]
+        return fblock(t, zb, wb)[k:]
 
     P = g_eval.empirical_P()
     l = sys.lipschitz_l
@@ -180,24 +180,6 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
     fblock = _block_f(sys, split)
     t_traj_end = _snap_up(
         sched, zeta + default_stable_horizon(split, picard_tol))
-
-    def translated(mu_traj):
-        cache: dict = {}
-
-        def mu_block(t):
-            v = cache.get(t)
-            if v is None:
-                v = split.to_block(mu_traj.eval(t))
-                cache[t] = v
-            return v
-
-        def q(t, Zb, Wb, t_beta):
-            mt = mu_block(t)
-            mb = mu_block(t_beta)
-            return fblock(t, Zb + mt, Wb + mb, t_beta) - fblock(t, mt, mb, t_beta)
-
-        return q
-
     grid = _PanelGrid(sched, zeta, t_traj_end, quad_step)
     d = v0.copy()
     G_d = G_v0
@@ -208,9 +190,14 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
             break
         mu0 = split.from_block(np.concatenate([G_d, d]))
         mu_traj = solve_forward(sys, sched, zeta, mu0, t_traj_end, step, 1e-10)
-        c_j = u0 - G_d
-        Z, _ = _picard(split.B_plus, split.B_minus, translated(mu_traj), grid,
-                       c_j, np.zeros(len(v0)), picard_tol, 60)
+        # the system translated by the companion: g(Z) = f(MU + Z) - f(MU)
+        MU = np.array([split.to_block(mu_traj.eval(t)) for t in grid.ts])
+        f_mu = _eval_g_panels(fblock, grid, MU)
+        Z, _ = _picard(
+            split.B_plus, split.B_minus,
+            lambda Z: [a - b for a, b in
+                       zip(_eval_g_panels(fblock, grid, Z + MU), f_mu)],
+            grid, u0 - G_d, np.zeros(len(v0)), picard_tol, 60)
         d_next = v0 - Z[0, k:]
         if float(np.linalg.norm(d_next - v0)) > r0 * (1 + 1e-8) + 1e-12:
             raise ContractionFailureError(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from epcag import (
     HybridSystem,
@@ -7,6 +8,11 @@ from epcag import (
     make_schedule,
     spectral_split,
 )
+
+# property tests draw the same examples on every run and have no deadline:
+# on a small shared host one example can take many times its usual time
+settings.register_profile("epcag", deadline=None, derandomize=True)
+settings.load_profile("epcag")
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from epcag import errors
 from epcag.cli import main
 from epcag.errors import ConfigError
 from epcag.harness import (
@@ -71,6 +77,22 @@ class TestScheduleRoundTrip:
     def test_invalid(self):
         with pytest.raises(ConfigError):
             schedule_from_dict({"kind": "epca"})
+
+    @given(kind=st.sampled_from(["epca", "alternating", "randomized"]),
+           i_min=st.integers(-50, 50), span=st.integers(1, 40),
+           bound=st.floats(0.1, 5.0), seed=st.integers(0, 2**32 - 1),
+           t_start=st.floats(-100.0, 100.0))
+    def test_round_trip_property(self, kind, i_min, span, bound, seed, t_start):
+        cfg = {"kind": kind, "window": [i_min, i_min + span]}
+        if kind == "randomized":
+            cfg.update(theta_bound=bound, seed=seed, t_start=t_start)
+        sched = schedule_from_dict(cfg)
+        d = json.loads(json.dumps(schedule_to_dict(sched)))
+        again = schedule_from_dict(d)
+        np.testing.assert_array_equal(again.thetas, sched.thetas)
+        np.testing.assert_array_equal(again.zetas, sched.zetas)
+        assert (again.i_min, again.theta_bound) == (sched.i_min, sched.theta_bound)
+        assert schedule_to_dict(again) == d
 
 
 class TestConfig:
@@ -366,3 +388,67 @@ class TestConfigFailuresLeaveRecord:
                               run={"t0": 4.0, "z0": [float("nan"), 0.5]})
         err = self._error(cfg, tmp_path)
         assert err["type"] == "ConfigError" and "run.z0" in err["message"]
+
+
+def _with(cfg, path, value):
+    """A copy of cfg with the dotted key path set to value."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[last] = value
+    return cfg
+
+
+_MANIFOLD_RUN = {"anchor_index": 0, "grid": {"count": 3}}
+_BAD_INPUTS = [pytest.param(recipe, path, value, id=f"{recipe}:{path}={value!r}")
+               for recipe, path, value in [
+    ("manifold-F", "run", dict(_MANIFOLD_RUN, anchor_index="x")),
+    ("manifold-G", "run", dict(_MANIFOLD_RUN, anchor_index="x")),
+    ("phase", "run", {"anchor_index": "x", "z0": [0.5, 0.8]}),
+    ("manifold-F", "run.grid", [1, 2]),
+    ("manifold-F", "run.grid", {"count": "x"}),
+    ("manifold-F", "run.grid", {"count": 0}),
+    ("simulate", "seed", "x"),
+    ("simulate", "run.z0", [1.0, 0.5, 0.2]),
+    ("continue-backward", "run", {"t0": 5.0, "z0": [0.2], "t_start": 1.0}),
+    ("phase", "run", {"anchor_index": 0, "z0": [0.5, 0.8, 0.1]}),
+    ("simulate", "solver", "x"),
+    ("simulate", "solver.step", "x"),
+    ("simulate", "solver.max_iter", "x"),
+    ("manifold-G", "manifold.tol", "x"),
+    ("conditions", "manifold.alpha", "x"),
+    ("reduce", "manifold.cache_resolution", "x"),
+    ("stability", "stability.horizon", "x"),
+    ("stability", "stability.radii", "x"),
+    ("stability", "stability.radii", []),
+    ("stability", "stability.t0_samples", []),
+    ("simulate", "system.lipschitz_l", "x"),
+    ("simulate", "system.nonlinearity.params", {}),
+    ("simulate", "system.nonlinearity.params", {"amp": "x"}),
+    ("manifold-F", "manifold.max_iter", 0),
+    ("manifold-F", "manifold.quad_step", -0.1),
+]]
+
+
+@pytest.mark.parametrize("recipe,path,value", _BAD_INPUTS)
+def test_invalid_input_exits_2_without_traceback(recipe, path, value, tmp_path):
+    cfg = _with(simulate_config(schedule={"kind": "epca", "window": [-60, 80]},
+                                run={"t0": 0.0, "z0": [1.0, 0.5], "t_end": 2.0,
+                                     **_MANIFOLD_RUN}), path, value)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "epcag.cli", recipe, "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = tmp_path / "out" / "report.json"
+    if report.exists():
+        err = json.loads(report.read_text())["error"]
+        assert issubclass(getattr(errors, err["type"]), ConfigError)

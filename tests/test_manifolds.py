@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epcag import (
     CenterEvaluator,
@@ -15,11 +16,11 @@ from epcag import (
     verify_surface_invariance,
 )
 from epcag.errors import (BoxExceededError, DivergenceError, EnvelopeError,
-                          SmallnessError)
+                          ParameterError, SmallnessError)
 from epcag.analysis import _sampled_sup
-from epcag import manifolds
-from epcag.manifolds import (_PanelGrid, _kernels, _check_envelope,
-                              _shifted_constants, _sweep)
+from epcag import manifolds, reduction
+from epcag.manifolds import (_PanelGrid, _block_f, _kernels, _check_envelope,
+                              _shifted_constants, _snap_down, _sweep)
 
 AMP = 0.01
 
@@ -228,7 +229,7 @@ class TestEvalG:
         assert _shifted_constants(split, kappa, kappa_bar) == direct
         # an equal split built anew is recognised by its blocks' bytes
         again = spectral_split(np.array([[-1.0, 0.3], [0.0, 0.0]]))
-        monkeypatch.setattr(manifolds, "_sampled_sup", None)
+        monkeypatch.setattr(manifolds, "fit_growth_constant", None)
         assert _shifted_constants(again, kappa, kappa_bar) == direct
 
     def test_backward_envelope(self, epca_sched, diag_split):
@@ -354,6 +355,64 @@ class TestCenterEvaluatorAperiodic:
         t_query = sched.zeta(20)
         got = ev.at(t_query, [0.8])[0]
         assert got == pytest.approx(exact_G_vfed(amp, 0.8), abs=2e-4)
+
+    def test_time_nodes_leave_room_for_the_backward_window(self, diag_split):
+        # the sampled P evaluates G at the first time node, whose backward
+        # quadrature window must start inside the schedule
+        amp = 0.01
+
+        def f(t, z, w):
+            return np.array([amp * math.tanh(w[1]), 0.0])
+
+        sched = make_schedule("epca", window=(-30, 8))
+        sys = HybridSystem(np.diag([-1.0, 0.0]), f, amp, 2)
+        b = compute_constants(sys.A, diag_split, sched, amp, alpha=0.25)
+        ev = CenterEvaluator(sys, sched, diag_split, b, box=2.0, resolution=5,
+                             tol=1e-6, quad_step=0.2, time_period=None)
+        assert ev.time_nodes[0] - ev.horizon >= sched.t_min
+        assert 0.05 <= ev.empirical_P(pairs=3) <= 1.0
+
+
+@pytest.fixture(scope="module")
+def evaluators(diag_split):
+    """One small evaluator per time mode, on a dyadic coordinate grid so
+    that grid coordinates are exact binary fractions."""
+    amp = 0.01
+
+    def f(t, z, w):
+        return np.array([amp * math.tanh(w[1]), 0.0])
+
+    sched = make_schedule("epca", window=(-30, 8))
+    sys = HybridSystem(np.diag([-1.0, 0.0]), f, amp, 2)
+    b = compute_constants(sys.A, diag_split, sched, amp, alpha=0.25)
+    return {period: CenterEvaluator(sys, sched, diag_split, b, box=2.0,
+                                    resolution=5, tol=1e-6, quad_step=0.2,
+                                    time_period=period, time_subdiv=2)
+            for period in (1.0, None)}
+
+
+class TestCenterEvaluatorExactAtNodes:
+    @settings(max_examples=12)
+    @given(period=st.sampled_from([1.0, None]), data=st.data())
+    def test_at_is_the_cached_point_at_grid_nodes(self, evaluators, period,
+                                                  data):
+        ev = evaluators[period]
+        ti = data.draw(st.integers(0, len(ev.time_nodes) - 2))
+        idx = data.draw(st.integers(0, ev.resolution - 1))
+        t = float(ev.time_nodes[ti])
+        d = ev.lo + idx * (ev.hi - ev.lo) / (ev.resolution - 1)
+        got = ev.at(t, d)
+        assert np.array_equal(got, ev._cache[(ti, (idx,))])
+        assert np.array_equal(got, ev.point(t, d))
+
+
+def test_nonpositive_step_and_zero_sweeps_rejected(stack):
+    sys, sched, split, bundle = stack
+    for step in (0.0, -0.1):
+        with pytest.raises(ParameterError, match="quadrature step"):
+            _PanelGrid(sched, 0.0, 4.0, step)
+    with pytest.raises(ParameterError, match="max_iter"):
+        eval_F(sys, sched, split, bundle, 0.0, [0.5], max_iter=0)
 
 
 class TestQuadratureSweeps:
@@ -481,3 +540,136 @@ class TestCenterEvaluatorAdvancedAnchors:
             assert sched.zeta(i) <= t or sched.theta(i) == t
         got = ev.at(7.3, [0.8])[0]
         assert got == pytest.approx(exact_G_vfed(amp, 0.8), abs=2e-4)
+
+
+# ---------------------------------------------------------------------------
+# the unshifted iteration against the shifted one it replaced
+# ---------------------------------------------------------------------------
+
+def parent_picard(Bp, Bm, gfun, grid, u0, v_end, tol, max_iter):
+    """The successive approximation with a per-node nonlinearity
+    gfun(t, z, w, t_beta) and the plain sup-norm delta."""
+    k = Bp.shape[0]
+    n = k + Bm.shape[0]
+    Z = np.zeros((len(grid), n))
+    deltas = []
+    for _ in range(max_iter):
+        g = []
+        for p in grid.panels:
+            w = Z[p.beta_idx]
+            loc = np.empty((p.n_sub + 1, n))
+            for q in range(p.n_sub + 1):
+                j = p.start + q
+                loc[q] = gfun(grid.ts[j], Z[j], w, p.t_beta)
+            g.append(loc)
+        U = _sweep(Bp, grid, [gi[:, :k] for gi in g], u0)
+        V = _sweep(Bm, grid, [gi[:, k:] for gi in g], v_end, backward=True)
+        Znew = np.hstack([U, V])
+        deltas.append(float(np.max(np.linalg.norm(Znew - Z, axis=1))))
+        Z = Znew
+        if deltas[-1] < tol:
+            return Z, deltas
+    raise AssertionError(f"no convergence: {deltas[-3:]}")
+
+
+def shifted_eval_G(sys, sched, split, zeta, d, horizon, tol, quad_step):
+    """G(zeta, d) from the iteration on eta = z e^{kappa t}, kappa = sigma/2."""
+    kappa = split.sigma / 2.0
+    k, nm = split.k, split.B_minus.shape[0]
+    fblock = _block_f(sys, split)
+
+    def gblock(t, eta, eta_b, t_beta):
+        ekt = math.exp(-kappa * t)
+        ekb = math.exp(-kappa * t_beta)
+        return math.exp(kappa * t) * fblock(t, eta * ekt, eta_b * ekb)
+
+    grid = _PanelGrid(sched, _snap_down(sched, zeta - horizon), zeta, quad_step)
+    Z, deltas = parent_picard(split.B_plus + kappa * np.eye(k),
+                              split.B_minus + kappa * np.eye(nm), gblock, grid,
+                              np.zeros(k), np.asarray(d) * math.exp(kappa * zeta),
+                              tol, 60)
+    return math.exp(-kappa * zeta) * Z[-1, :k], deltas
+
+
+def damped_cubic(A, fed=False):
+    """The damped center-cubic system; ``fed`` halves its coefficient and
+    feeds the neutral rate by the anchored decaying component, so that a
+    start off the center surface has a companion other than itself."""
+    a = 0.006 if fed else 0.012
+
+    def f(t, z, w):
+        return np.array([a * w[1] ** 2 / (1 + w[1] ** 2),
+                         -a * z[1] ** 3 / (1 + z[1] ** 2)
+                         + (a * math.tanh(w[0]) if fed else 0.0)])
+
+    return HybridSystem(np.array(A), f, (2.25 if fed else 1.125) * a, 2)
+
+
+SCHEDULES = {
+    "epca": lambda: make_schedule("epca", window=(-40, 12)),
+    "alternating": lambda: make_schedule("alternating", window=(-20, 8)),
+    "randomized": lambda: make_schedule("randomized", window=(-60, 20),
+                                        theta_bound=1.0, seed=17,
+                                        t_start=-40.0),
+}
+
+
+class TestUnshiftedIteration:
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    @pytest.mark.parametrize("A", [[[-1.0, 0.0], [0.0, 0.0]],
+                                   [[-1.0, 0.3], [0.0, 0.0]]])
+    def test_eval_G_matches_the_shifted_iteration(self, kind, A):
+        sys = damped_cubic(A)
+        sched = SCHEDULES[kind]()
+        split = spectral_split(sys.A)
+        assert split.is_identity_transform == (A[0][1] == 0.0)
+        bundle = compute_constants(sys.A, split, sched, sys.lipschitz_l)
+        zeta = sched.zeta(sched.i_min + len(sched.zetas) - 4)
+        for d in (0.9, -1.6):
+            res = eval_G(sys, sched, split, bundle, zeta, [d], horizon=20.0,
+                         tol=1e-10, quad_step=0.1)
+            old, deltas = shifted_eval_G(sys, sched, split, zeta, [d], 20.0,
+                                         1e-10, 0.1)
+            assert len(res.deltas) == len(deltas)
+            assert np.max(np.abs(res.value - old)) <= 1e-14 * np.max(np.abs(old))
+            assert np.allclose(res.deltas[:3], deltas[:3], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind,A", [("epca", [[-1.0, 0.0], [0.0, 0.0]]),
+                                        ("alternating", [[-1.0, 0.3], [0.0, 0.0]])])
+    def test_companion_iteration_matches_the_per_node_closure(self, kind, A,
+                                                              monkeypatch):
+        # replay every companion Picard run of asymptotic_phase through the
+        # per-node closure f(t, Z + mu(t), W + mu(beta)) - f(t, mu(t), mu(beta))
+        sys = damped_cubic(A, fed=True)
+        sched = make_schedule(kind, window=(-70, 60) if kind == "epca"
+                              else (-35, 30))
+        split = spectral_split(sys.A)
+        bundle = compute_constants(sys.A, split, sched, sys.lipschitz_l)
+        trajs, runs = [], []
+        forward = reduction.solve_forward
+
+        def solve_forward(*args):
+            trajs.append(forward(*args))
+            return trajs[-1]
+
+        def picard(*args):
+            Z, deltas = manifolds._picard(*args)
+            runs.append((trajs[-1], args, Z))
+            return Z, deltas
+
+        monkeypatch.setattr(reduction, "solve_forward", solve_forward)
+        monkeypatch.setattr(reduction, "_picard", picard)
+        zeta = sched.zeta(sched.i_min + len(sched.zetas) // 2)
+        reduction.asymptotic_phase(sys, sched, split, bundle, zeta,
+                                   split.from_block([0.4, 0.3]), tol=1e-7,
+                                   quad_step=0.1)
+        assert len(runs) >= 2
+        fblock = _block_f(sys, split)
+        for mu_traj, (Bp, Bm, _, grid, u0, v_end, tol, max_iter), Z in runs:
+            def q(t, Zb, Wb, t_beta):
+                mt = split.to_block(mu_traj.eval(t))
+                mb = split.to_block(mu_traj.eval(t_beta))
+                return fblock(t, Zb + mt, Wb + mb) - fblock(t, mt, mb)
+
+            old, _ = parent_picard(Bp, Bm, q, grid, u0, v_end, tol, max_iter)
+            assert np.array_equal(Z, old)
