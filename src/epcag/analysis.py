@@ -46,6 +46,10 @@ class SpectralSplit:
     K_const: float
     m_pow: int
     mu: float = field(default=float("nan"))
+    # growth constants of the exponentially shifted blocks, fitted by the
+    # center-graph map once per (kappa, kappa_bar)
+    shifted_K: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
     @property
     def dim(self) -> int:
@@ -131,12 +135,11 @@ def _sampled_sup(B: np.ndarray, weight, T_check: float) -> float:
     steps = 400
     dt = T_check / steps
     E = sla.expm(B * dt)
-    P = np.eye(B.shape[0])
-    best = np.linalg.norm(P, 2) / weight(0.0)
-    for j in range(1, steps + 1):
-        P = E @ P
-        best = max(best, np.linalg.norm(P, 2) / weight(j * dt))
-    return float(best)
+    powers = [np.eye(B.shape[0])]
+    for _ in range(steps):
+        powers.append(E @ powers[-1])
+    norms = np.linalg.norm(np.array(powers), 2, axis=(1, 2))
+    return float(max(nj / weight(j * dt) for j, nj in enumerate(norms)))
 
 
 def fit_growth_constant(B_plus: np.ndarray, B_minus: np.ndarray, w_plus, w_minus,

@@ -45,13 +45,18 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
+    if not isinstance(raw, dict):
+        print(f"config error: the config must be a JSON object, got {raw!r}",
+              file=sys.stderr)
+        return 2
     raw["recipe"] = args.recipe
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.step is not None:
-        raw.setdefault("solver", {})["step"] = args.step
-    if args.tol is not None:
-        raw.setdefault("solver", {})["tol"] = args.tol
+    solver = raw.get("solver") or {}
+    if isinstance(solver, dict):  # any other solver section is a ConfigError
+        overrides = {"step": args.step, "tol": args.tol}
+        raw["solver"] = dict(solver, **{key: val for key, val in overrides.items()
+                                        if val is not None})
     try:
         config = ExperimentConfig.from_dict(raw)
     except ConfigError as exc:

@@ -7,7 +7,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,7 +263,6 @@ class ExperimentConfig:
     stability: dict
     run_params: dict
     seed: int = 0
-    raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
@@ -282,8 +281,9 @@ class ExperimentConfig:
                           ("solver.tol", solver["tol"]),
                           ("solver.max_iter", solver["max_iter"]),
                           ("manifold.quad_step", manifold["quad_step"]),
-                          ("manifold.max_iter", manifold["max_iter"])):
-            if not val > 0:
+                          ("manifold.max_iter", manifold["max_iter"]),
+                          ("stability.horizon", stability["horizon"])):
+            if val is not None and not val > 0:
                 raise ConfigError(f"{name} must be positive, got {val}")
         try:
             seed = int(cfg.get("seed", 0))
@@ -298,7 +298,6 @@ class ExperimentConfig:
             stability=stability,
             run_params=cfg.get("run", {}),
             seed=seed,
-            raw=cfg,
         )
 
     def describe(self) -> dict:
@@ -361,12 +360,14 @@ def _analysis_stack(sys, sched, cfg):
     return split, bundle
 
 
-def _default_t0_samples(sched: ArgumentSchedule, horizon: float, count: int = 5):
+def _default_t0_samples(sched: ArgumentSchedule, horizon: float):
+    """Five start times spread over the anchors that leave room for the
+    horizon."""
     ok = [float(z) for z in sched.zetas if z + horizon <= sched.t_max + 1e-9]
     if not ok:
         raise ConfigError(
             f"no start time admits horizon {horizon} inside the schedule window")
-    idx = np.unique(np.linspace(0, len(ok) - 1, count).astype(int))
+    idx = np.unique(np.linspace(0, len(ok) - 1, 5).astype(int))
     return [ok[j] for j in idx]
 
 

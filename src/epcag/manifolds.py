@@ -10,6 +10,7 @@ the cumulative integrals in one pass per sweep.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -307,23 +308,18 @@ def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
 # the backward-bounded center surface
 # ---------------------------------------------------------------------------
 
-_SHIFTED_K: dict = {}
-
-
 def _shifted_constants(split: SpectralSplit, kappa: float, kappa_bar: float) -> float:
     """Growth constant of the exponentially shifted blocks with weight
-    e^{-kappa_bar t} on [0, 60], memoized on the blocks' shapes and bytes:
-    every eval_G of a run asks for it."""
-    Bp, Bm = split.B_plus, split.B_minus
-    key = (Bp.shape, Bp.tobytes(), Bm.shape, Bm.tobytes(), kappa, kappa_bar)
-    if key not in _SHIFTED_K:
+    e^{-kappa_bar t} on [0, 60], fitted once per split: every eval_G of a
+    run asks for it."""
+    key = (kappa, kappa_bar)
+    if key not in split.shifted_K:
         weight = lambda t: math.exp(-kappa_bar * t)
-        if len(_SHIFTED_K) >= 32:
-            _SHIFTED_K.clear()
-        _SHIFTED_K[key] = fit_growth_constant(
+        Bp, Bm = split.B_plus, split.B_minus
+        split.shifted_K[key] = fit_growth_constant(
             Bp + kappa * np.eye(split.k), Bm + kappa * np.eye(Bm.shape[0]),
             weight, weight, 60.0)
-    return _SHIFTED_K[key]
+    return split.shifted_K[key]
 
 
 def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
@@ -412,19 +408,17 @@ class InvarianceReport:
 def verify_surface_invariance(sys: HybridSystem, sched: ArgumentSchedule,
                               split: SpectralSplit, bundle: ConstantsBundle,
                               i: int, c, span: int, step: float = 0.05,
-                              tol: float = 1e-8, manifold_tol: float = 1e-8,
-                              quad_step: float = 0.05,
-                              horizon: float | None = None,
-                              delta_off: float = 0.1,
-                              off_window: float = 5.0) -> InvarianceReport:
+                              tol: float = 1e-8,
+                              manifold_tol: float = 1e-8) -> InvarianceReport:
     """Start on the surface at anchor i, march forward and re-check the graph
     relation at the next ``span`` anchors; also run one start pushed off the
-    surface by delta_off and record that its neutral component does not decay.
+    surface by 0.1 and record that its neutral component does not decay over
+    the next 5 time units.
     """
+    delta_off, off_window = 0.1, 5.0
     zeta_i = sched.zeta(i)
     k = split.k
-    res = eval_F(sys, sched, split, bundle, zeta_i, c, horizon=horizon,
-                 tol=manifold_tol, quad_step=quad_step)
+    res = eval_F(sys, sched, split, bundle, zeta_i, c, tol=manifold_tol)
     zb0 = np.concatenate([np.atleast_1d(np.asarray(c, dtype=float)), res.value])
     z0 = split.from_block(zb0)
     t_end = sched.zeta(i + span)
@@ -435,8 +429,7 @@ def verify_surface_invariance(sys: HybridSystem, sched: ArgumentSchedule,
         zj = sched.zeta(j)
         zb = split.to_block(traj.eval(zj))
         u_j, v_j = zb[:k], zb[k:]
-        rj = eval_F(sys, sched, split, bundle, zj, u_j, horizon=horizon,
-                    tol=manifold_tol, quad_step=quad_step)
+        rj = eval_F(sys, sched, split, bundle, zj, u_j, tol=manifold_tol)
         defects.append((j, zj, float(np.linalg.norm(v_j - rj.value))))
 
     # off-surface start: push the neutral component and watch it persist
@@ -481,8 +474,8 @@ class CenterEvaluator:
     """Pointwise center-graph evaluation with a lazy grid cache.
 
     Values are computed on a grid over the neutral-coordinate box and on a
-    small set of time nodes, then interpolated multilinearly in the
-    coordinates and linearly in time.  When the system is autonomous and the
+    small set of time nodes, then interpolated multilinearly in time and
+    the coordinates together.  When the system is autonomous and the
     schedule repeats with period ``time_period``, time is wrapped into one
     period so the cache stays small; otherwise time nodes are laid on the
     breakpoints and anchors at least one horizon into the schedule, and
@@ -565,66 +558,52 @@ class CenterEvaluator:
         return res.value
 
     # -- cached interpolation ----------------------------------------------
-    def _grid_value(self, ti: int, idx: tuple) -> np.ndarray:
-        key = (ti, idx)
-        val = self._cache.get(key)
-        if val is None:
-            d = self.lo + np.asarray(idx, dtype=float) * (self.hi - self.lo) / (
-                self.resolution - 1)
-            val = self.point(float(self.time_nodes[ti]), d)
-            self._cache[key] = val
-        return val
+    def at(self, t: float, v) -> np.ndarray:
+        """Interpolated graph value; raises BoxExceededError outside the box.
 
-    def _corners(self, ti: int, v: np.ndarray) -> np.ndarray:
-        nm = len(v)
-        h = (self.hi - self.lo) / (self.resolution - 1)
-        pos = (v - self.lo) / h
-        base = np.clip(np.floor(pos).astype(int), 0, self.resolution - 2)
-        frac = pos - base
-        out = np.zeros(self.split.k)
-        for corner in range(1 << nm):
-            idx = []
-            wgt = 1.0
-            for ax in range(nm):
-                bit = (corner >> ax) & 1
-                idx.append(base[ax] + bit)
-                wgt *= frac[ax] if bit else (1.0 - frac[ax])
-            if wgt > 0:
-                out = out + wgt * self._grid_value(ti, tuple(idx))
+        One multilinear interpolation with time as its first axis: a cell
+        (time index, coordinate indices...) has 2^(1 + nm) corners, cached
+        under that flat tuple.  Corners of zero weight are neither read nor
+        filled, so a query on a grid node returns the cached value exactly.
+        """
+        v = np.atleast_1d(np.asarray(v, dtype=float))
+        t = float(t)
+        if self.time_period is not None:
+            t = self.t_ref + ((t - self.t_ref) % self.time_period)
+        nodes = self.time_nodes
+        j = int(np.searchsorted(nodes, t, side="right")) - 1
+        j = min(max(j, 0), len(nodes) - 2)
+        t0, t1 = nodes[j:j + 2].tolist()
+        lam = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+        axes = [((j, 1.0 - lam), (j + 1, lam))]
+        n = self.resolution - 1
+        for x, lo, hi in zip(v.tolist(), self.lo.tolist(), self.hi.tolist()):
+            if not lo - 1e-12 <= x <= hi + 1e-12:
+                raise BoxExceededError(f"coordinates {v} outside the cached "
+                                       f"box [{self.lo}, {self.hi}]")
+            pos = (x - lo) / ((hi - lo) / n)
+            base = min(max(math.floor(pos), 0), n - 1)
+            frac = pos - base
+            axes.append(((base, 1.0 - frac), (base + 1, frac)))
+        out = 0.0
+        for corner in itertools.product(*[[c for c in ax if c[1] > 0]
+                                          for ax in axes]):
+            key, weights = zip(*corner)
+            val = self._cache.get(key)
+            if val is None:
+                d = self.lo + np.asarray(key[1:], dtype=float) * (
+                    self.hi - self.lo) / n
+                val = self._cache[key] = self.point(
+                    float(self.time_nodes[key[0]]), d)
+            out = out + math.prod(weights) * val
         return out
 
-    def _time_key(self, t: float) -> float:
-        if self.time_period is None:
-            return t
-        per = self.time_period
-        return self.t_ref + ((t - self.t_ref) % per)
-
-    def at(self, t: float, v) -> np.ndarray:
-        """Interpolated graph value; raises BoxExceededError outside the box."""
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        if np.any(v < self.lo - 1e-12) or np.any(v > self.hi + 1e-12):
-            raise BoxExceededError(
-                f"coordinates {v} outside the cached box [{self.lo}, {self.hi}]")
-        tk = self._time_key(float(t))
-        nodes = self.time_nodes
-        j = int(np.searchsorted(nodes, tk, side="right")) - 1
-        j = min(max(j, 0), len(nodes) - 2)
-        t0, t1 = nodes[j], nodes[j + 1]
-        lam = 0.0 if t1 == t0 else (tk - t0) / (t1 - t0)
-        lam = min(max(lam, 0.0), 1.0)
-        g0 = self._corners(j, v)
-        if lam == 0.0:
-            return g0
-        g1 = self._corners(j + 1, v)
-        return (1.0 - lam) * g0 + lam * g1
-
-    def empirical_P(self, pairs: int = 20, seed: int = 0,
-                    anchor: float | None = None) -> float:
-        """Sampled Lipschitz constant of the graph map divided by l."""
+    def empirical_P(self, pairs: int = 20, seed: int = 0) -> float:
+        """Sampled Lipschitz constant of the graph map divided by l, at the
+        first time node."""
         if self._P is not None:
             return self._P
-        if anchor is None:
-            anchor = float(self.time_nodes[0])
+        anchor = float(self.time_nodes[0])
         draws = np.random.default_rng(seed).uniform(
             self.lo, self.hi, size=(pairs, 2, len(self.lo)))
         self._P = _sampled_P(lambda d: self.point(anchor, d), draws,

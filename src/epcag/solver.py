@@ -60,7 +60,6 @@ class HybridSystem:
     dim: int
     probe_radius: float = 1.0
     probe_times: tuple = (0.0, 0.37, 1.0)
-    validate: bool = True
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -72,8 +71,7 @@ class HybridSystem:
             raise SystemValidationError("A must be finite")
         if self.lipschitz_l < 0:
             raise SystemValidationError("lipschitz_l must be nonnegative")
-        if self.validate:
-            self._spot_check()
+        self._spot_check()
 
     def _spot_check(self):
         rng = np.random.default_rng(20240817)

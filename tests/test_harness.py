@@ -287,6 +287,31 @@ class TestHeavyRecipes:
         assert lines[0] == "v_1,G_1"
         assert len(lines) == 4
 
+    def test_repeated_run_repeats_its_work(self, tmp_path, monkeypatch):
+        # a run may memoize within itself but carries nothing over to the
+        # next run in the same process: each run fits its constants anew
+        from epcag import analysis, manifolds
+        fit = analysis.fit_growth_constant
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fit(*args)
+
+        monkeypatch.setattr(analysis, "fit_growth_constant", counted)
+        monkeypatch.setattr(manifolds, "fit_growth_constant", counted)
+        cfg = ExperimentConfig.from_dict(simulate_config(
+            recipe="manifold-G",
+            schedule={"kind": "epca", "window": [-50, 60]},
+            manifold={"tol": 1e-6, "quad_step": 0.1},
+            run={"anchor_index": 0, "grid": {"count": 3}}))
+        counts = []
+        for rep in range(2):
+            calls.clear()
+            assert run(cfg, tmp_path / str(rep)) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_reduce_recipe_zero_family(self, tmp_path, capsys):
         cfg = ExperimentConfig.from_dict({
             "recipe": "reduce",
@@ -391,7 +416,10 @@ class TestConfigFailuresLeaveRecord:
 
 
 def _with(cfg, path, value):
-    """A copy of cfg with the dotted key path set to value."""
+    """A copy of cfg with the dotted key path set to value; an empty path
+    replaces the whole config."""
+    if not path:
+        return value
     cfg = json.loads(json.dumps(cfg))
     *parents, last = path.split(".")
     node = cfg
@@ -402,8 +430,9 @@ def _with(cfg, path, value):
 
 
 _MANIFOLD_RUN = {"anchor_index": 0, "grid": {"count": 3}}
-_BAD_INPUTS = [pytest.param(recipe, path, value, id=f"{recipe}:{path}={value!r}")
-               for recipe, path, value in [
+_BAD_INPUTS = [pytest.param(recipe, path, value, flags,
+                            id=" ".join([f"{recipe}:{path}={value!r}", *flags]))
+               for recipe, path, value, *flags in [
     ("manifold-F", "run", dict(_MANIFOLD_RUN, anchor_index="x")),
     ("manifold-G", "run", dict(_MANIFOLD_RUN, anchor_index="x")),
     ("phase", "run", {"anchor_index": "x", "z0": [0.5, 0.8]}),
@@ -429,11 +458,16 @@ _BAD_INPUTS = [pytest.param(recipe, path, value, id=f"{recipe}:{path}={value!r}"
     ("simulate", "system.nonlinearity.params", {"amp": "x"}),
     ("manifold-F", "manifold.max_iter", 0),
     ("manifold-F", "manifold.quad_step", -0.1),
+    ("simulate", "", [1, 2]),
+    ("simulate", "solver", "x", "--step", "0.1"),
+    ("simulate", "solver", "x", "--tol", "1e-6"),
+    ("stability", "stability.horizon", -5.0),
 ]]
 
 
-@pytest.mark.parametrize("recipe,path,value", _BAD_INPUTS)
-def test_invalid_input_exits_2_without_traceback(recipe, path, value, tmp_path):
+@pytest.mark.parametrize("recipe,path,value,flags", _BAD_INPUTS)
+def test_invalid_input_exits_2_without_traceback(recipe, path, value, flags,
+                                                 tmp_path):
     cfg = _with(simulate_config(schedule={"kind": "epca", "window": [-60, 80]},
                                 run={"t0": 0.0, "z0": [1.0, 0.5], "t_end": 2.0,
                                      **_MANIFOLD_RUN}), path, value)
@@ -444,7 +478,7 @@ def test_invalid_input_exits_2_without_traceback(recipe, path, value, tmp_path):
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-m", "epcag.cli", recipe, "--config", str(cfg_path),
-         "--out", str(tmp_path / "out")],
+         "--out", str(tmp_path / "out"), *flags],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

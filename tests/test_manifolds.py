@@ -17,7 +17,7 @@ from epcag import (
 )
 from epcag.errors import (BoxExceededError, DivergenceError, EnvelopeError,
                           ParameterError, SmallnessError)
-from epcag.analysis import _sampled_sup
+from epcag.analysis import _sampled_sup, fit_growth_constant
 from epcag import manifolds, reduction
 from epcag.manifolds import (_PanelGrid, _block_f, _kernels, _check_envelope,
                               _shifted_constants, _snap_down, _sweep)
@@ -226,11 +226,21 @@ class TestEvalG:
             1.0,
             _sampled_sup(split.B_plus + kappa * np.eye(1), weight, 60.0),
             _sampled_sup(-(split.B_minus + kappa * np.eye(1)), weight, 60.0))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fit_growth_constant(*args)
+
+        monkeypatch.setattr(manifolds, "fit_growth_constant", counted)
         assert _shifted_constants(split, kappa, kappa_bar) == direct
-        # an equal split built anew is recognised by its blocks' bytes
+        # the second call on the same split is a memo hit
+        assert _shifted_constants(split, kappa, kappa_bar) == direct
+        assert len(calls) == 1
+        # an equal split built anew fits again: nothing outlives its split
         again = spectral_split(np.array([[-1.0, 0.3], [0.0, 0.0]]))
-        monkeypatch.setattr(manifolds, "fit_growth_constant", None)
         assert _shifted_constants(again, kappa, kappa_bar) == direct
+        assert len(calls) == 2
 
     def test_backward_envelope(self, epca_sched, diag_split):
         amp = 0.01
@@ -261,8 +271,7 @@ class TestInvariance:
         step, mtol = 0.05, 1e-8
         rep = verify_surface_invariance(sys, sched, split, bundle, i=0,
                                         c=[1.0], span=5, step=step, tol=1e-10,
-                                        manifold_tol=mtol, delta_off=0.1,
-                                        off_window=5.0)
+                                        manifold_tol=mtol)
         budget = 10.0 * (mtol + 10.0 * step**4)
         assert rep.max_defect <= budget
         # hand oracle: the neutral rate is fed only by the decaying part, so
@@ -281,8 +290,7 @@ class TestInvariance:
         sys = HybridSystem(np.diag([-1.0, 0.0]), f, amp, 2)
         b = compute_constants(sys.A, diag_split, epca_sched, amp, alpha=0.25)
         rep = verify_surface_invariance(sys, epca_sched, diag_split, b, i=0,
-                                        c=[1.0], span=3, step=0.05,
-                                        delta_off=0.1, off_window=5.0)
+                                        c=[1.0], span=3, step=0.05)
         assert rep.off_surface_min_v >= 0.09
 
 
@@ -334,6 +342,9 @@ class TestCenterEvaluator:
         ev.at(19.0, [0.5])  # same wrapped time, same cell
         assert len(ev._cache) == mid
         assert mid >= before
+        # cells are keyed (time index, coordinate index)
+        for ti, idx in ev._cache:
+            assert 0 <= ti < len(ev.time_nodes) and 0 <= idx < ev.resolution
 
 
 class TestCenterEvaluatorAperiodic:
@@ -402,8 +413,91 @@ class TestCenterEvaluatorExactAtNodes:
         t = float(ev.time_nodes[ti])
         d = ev.lo + idx * (ev.hi - ev.lo) / (ev.resolution - 1)
         got = ev.at(t, d)
-        assert np.array_equal(got, ev._cache[(ti, (idx,))])
+        assert np.array_equal(got, ev._cache[(ti, idx)])
         assert np.array_equal(got, ev.point(t, d))
+
+
+def _two_pass_at(ev, cache, t, v):
+    """Reference lookup: multilinear over the coordinates at each of two
+    time nodes, then linear between them, filling ``cache`` keyed
+    (time index, coordinate index tuple)."""
+    def grid_value(ti, idx):
+        if (ti, idx) not in cache:
+            d = ev.lo + np.asarray(idx, dtype=float) * (ev.hi - ev.lo) / (
+                ev.resolution - 1)
+            cache[(ti, idx)] = ev.point(float(ev.time_nodes[ti]), d)
+        return cache[(ti, idx)]
+
+    def corners(ti, v):
+        nm = len(v)
+        h = (ev.hi - ev.lo) / (ev.resolution - 1)
+        pos = (v - ev.lo) / h
+        base = np.clip(np.floor(pos).astype(int), 0, ev.resolution - 2)
+        frac = pos - base
+        out = np.zeros(ev.split.k)
+        for corner in range(1 << nm):
+            idx = []
+            wgt = 1.0
+            for ax in range(nm):
+                bit = (corner >> ax) & 1
+                idx.append(base[ax] + bit)
+                wgt *= frac[ax] if bit else (1.0 - frac[ax])
+            if wgt > 0:
+                out = out + wgt * grid_value(ti, tuple(idx))
+        return out
+
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    tk = t if ev.time_period is None else (
+        ev.t_ref + ((t - ev.t_ref) % ev.time_period))
+    nodes = ev.time_nodes
+    j = int(np.searchsorted(nodes, tk, side="right")) - 1
+    j = min(max(j, 0), len(nodes) - 2)
+    lam = min(max((tk - nodes[j]) / (nodes[j + 1] - nodes[j]), 0.0), 1.0)
+    g0 = corners(j, v)
+    if lam == 0.0:
+        return g0
+    return (1.0 - lam) * g0 + lam * corners(j + 1, v)
+
+
+def _three_dim_evaluator(period):
+    """Two neutral coordinates: A = diag(-1, 0, 0), the first neutral rate
+    fed by the anchored decaying component so G varies in time too."""
+    amp = 0.01
+
+    def f(t, z, w):
+        return amp * np.array([np.tanh(w[1]) + 0.5 * np.tanh(w[2]),
+                               np.tanh(w[0]), 0.0])
+
+    A = np.diag([-1.0, 0.0, 0.0])
+    sched = make_schedule("epca", window=(-30, 8))
+    sys = HybridSystem(A, f, 1.5 * amp, 3)
+    split = spectral_split(A)
+    b = compute_constants(A, split, sched, sys.lipschitz_l, alpha=0.25)
+    return CenterEvaluator(sys, sched, split, b, box=2.0, resolution=5,
+                           tol=1e-6, quad_step=0.2, time_period=period,
+                           time_subdiv=2)
+
+
+class TestCenterEvaluatorMergedLookup:
+    @pytest.mark.parametrize("nm", [1, 2])
+    @pytest.mark.parametrize("period", [1.0, None])
+    def test_matches_the_two_pass_lookup(self, evaluators, nm, period):
+        ev = evaluators[period] if nm == 1 else _three_dim_evaluator(period)
+        ev._cache.clear()
+        cache: dict = {}
+        rng = np.random.default_rng(11)
+        nodes = ev.time_nodes
+        t_lo, t_hi = (nodes[0] - 3.0, nodes[0] + 7.0) if period else (
+            nodes[0], nodes[-1])
+        for _ in range(12):
+            t = float(rng.uniform(t_lo, t_hi))
+            v = rng.uniform(ev.lo, ev.hi)
+            want = _two_pass_at(ev, cache, t, v)
+            got = ev.at(t, v)
+            scale = max(np.max(np.abs(val)) for val in cache.values())
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale
+        assert len(ev._cache) == len(cache)
+        assert set(ev._cache) == {(ti, *idx) for ti, idx in cache}
 
 
 def test_nonpositive_step_and_zero_sweeps_rejected(stack):

@@ -257,7 +257,7 @@ class TestSolveAnchorWork:
         def f(t, z, w):
             return np.array([np.inf if t > 0.75 else 0.5 * w[0]])
 
-        sys = HybridSystem(np.array([[0.0]]), f, 0.5, 1, validate=False)
+        sys = HybridSystem(np.array([[0.0]]), f, 0.5, 1, probe_times=(0.0, 0.5))
         sched = make_schedule("explicit", thetas=[0.0, 1.0], zetas=[0.5])
         with pytest.raises(BlowUpError) as ei:
             solve_anchor(sys, sched, 0, 0.0, np.array([1.0]), 0.05, 1e-12)
