@@ -157,6 +157,8 @@ def build_system(system_cfg: dict) -> HybridSystem:
     if A.shape != (dim, dim):
         raise ConfigError(f"system.matrix must be square, got {A.shape}")
     nl = system_cfg.get("nonlinearity", {"name": "zero", "params": {}})
+    if not isinstance(nl, dict):
+        raise ConfigError(f"system.nonlinearity must be an object, got {nl!r}")
     name = nl.get("name")
     if name not in _CATALOG:
         raise ConfigError(
@@ -207,16 +209,17 @@ def schedule_to_dict(sched: ArgumentSchedule) -> dict:
 
 _SOLVER_DEFAULTS = {"step": 0.05, "tol": 1e-8, "max_iter": 50}
 _MANIFOLD_DEFAULTS = {
-    "alpha": None, "sigma": None, "horizon": None, "tol": 1e-8,
-    "max_iter": 60, "quad_step": 0.05, "kappa": None,
-    "cache_box": 2.0, "cache_resolution": 9, "time_period": None,
-    "time_subdiv": 4,
+    "tol": 1e-8, "quad_step": 0.05, "cache_box": 2.0, "cache_resolution": 9,
+    "time_period": None, "time_subdiv": 4,
 }
 _STABILITY_DEFAULTS = {
     "radii": [0.1, 0.01, 0.001], "horizon": None, "t0_samples": None,
-    "escape_factor": 10.0, "bound_factor": 3.0, "final_frac": 0.01,
-    "fit_r2": 0.98, "min_efolds": 1.0, "n_random_dirs": 8, "step": 0.1,
+    "final_frac": 0.01, "n_random_dirs": 8, "step": 0.1,
 }
+# every section value is finite and lies above 0, or above the bound listed
+# here (n_random_dirs >= 0, cache_resolution >= 2)
+_ABOVE = {"n_random_dirs": -1, "cache_resolution": 1,
+          "t0_samples": -math.inf, "cache_box": -math.inf}
 
 
 def _number(key: str, val):
@@ -233,8 +236,9 @@ def _number(key: str, val):
 
 
 def _merged(defaults: dict, given: dict, section: str) -> dict:
-    """Defaults updated by the given section, every value read as a number;
-    null stays null only where the default is null."""
+    """Defaults updated by the given section, every value read as a finite
+    number above its bound in ``_ABOVE`` (0 if unlisted); null stays null
+    only where the default is null."""
     out = dict(defaults)
     if not isinstance(given or {}, dict):
         raise ConfigError(f"{section} must be an object, got {given!r}")
@@ -247,9 +251,14 @@ def _merged(defaults: dict, given: dict, section: str) -> dict:
             continue
         try:
             out[key] = _number(key, val)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{section}.{key} = {val!r} is not numeric: "
                               f"{exc}") from exc
+        vals = np.asarray(out[key], dtype=float)
+        above = _ABOVE.get(key, 0)
+        if not (np.all(np.isfinite(vals)) and np.all(vals > above)):
+            raise ConfigError(f"{section}.{key} = {val!r} must be finite"
+                              + (f" and > {above}" if above > -math.inf else ""))
     return out
 
 
@@ -277,18 +286,12 @@ class ExperimentConfig:
         manifold = _merged(_MANIFOLD_DEFAULTS, cfg.get("manifold", {}), "manifold")
         stability = _merged(_STABILITY_DEFAULTS, cfg.get("stability", {}),
                             "stability")
-        for name, val in (("solver.step", solver["step"]),
-                          ("solver.tol", solver["tol"]),
-                          ("solver.max_iter", solver["max_iter"]),
-                          ("manifold.quad_step", manifold["quad_step"]),
-                          ("manifold.max_iter", manifold["max_iter"]),
-                          ("stability.horizon", stability["horizon"])):
-            if val is not None and not val > 0:
-                raise ConfigError(f"{name} must be positive, got {val}")
         try:
             seed = int(cfg.get("seed", 0))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"seed must be an integer: {exc}") from exc
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
         return cls(
             recipe=recipe,
             system=cfg.get("system", {}),
@@ -353,11 +356,9 @@ def _error_record(err: Exception) -> dict:
     return rec
 
 
-def _analysis_stack(sys, sched, cfg):
-    split = spectral_split(sys.A, sigma=cfg.manifold["sigma"])
-    bundle = compute_constants(sys.A, split, sched, sys.lipschitz_l,
-                               alpha=cfg.manifold["alpha"])
-    return split, bundle
+def _analysis_stack(sys, sched):
+    split = spectral_split(sys.A)
+    return split, compute_constants(sys.A, split, sched, sys.lipschitz_l)
 
 
 def _default_t0_samples(sched: ArgumentSchedule, horizon: float):
@@ -445,7 +446,7 @@ def _recipe_simulate(cfg, sys, sched, out_dir, forward: bool) -> dict:
 
 
 def _recipe_conditions(cfg, sys, sched) -> dict:
-    split, bundle = _analysis_stack(sys, sched, cfg)
+    split, bundle = _analysis_stack(sys, sched)
     report = check_conditions(sys, sched, split, bundle, seed=cfg.seed)
     print(report.table())
     out = report.as_dict()
@@ -455,12 +456,6 @@ def _recipe_conditions(cfg, sys, sched) -> dict:
         "K": bundle.K_const, "m_pow": bundle.m_pow, "p": bundle.p_const,
         "two_p_l": 2 * bundle.p_const * bundle.l,
     }
-    # repair non-JSON values
-    for e in out["entries"]:
-        e["detail"] = {k: (str(v) if isinstance(v, (complex, np.complexfloating))
-                           else v)
-                       for k, v in e["detail"].items()
-                       if k != "eigenvalues"}
     return out
 
 
@@ -474,7 +469,7 @@ def _grid_1d(grid_cfg: dict) -> np.ndarray:
 
 
 def _recipe_manifold(cfg, sys, sched, out_dir, kind: str) -> dict:
-    split, bundle = _analysis_stack(sys, sched, cfg)
+    split, bundle = _analysis_stack(sys, sched)
     mf = cfg.manifold
     rp = cfg.run_params
     try:
@@ -492,15 +487,9 @@ def _recipe_manifold(cfg, sys, sched, out_dir, kind: str) -> dict:
     rows = []
     diag = []
     for x in grid:
-        if kind == "F":
-            res = eval_F(sys, sched, split, bundle, zeta, np.array([x]),
-                         horizon=mf["horizon"], tol=mf["tol"],
-                         max_iter=mf["max_iter"], quad_step=mf["quad_step"])
-        else:
-            res = eval_G(sys, sched, split, bundle, zeta, np.array([x]),
-                         horizon=mf["horizon"], tol=mf["tol"],
-                         max_iter=mf["max_iter"], quad_step=mf["quad_step"],
-                         kappa=mf["kappa"])
+        res = (eval_F if kind == "F" else eval_G)(
+            sys, sched, split, bundle, zeta, np.array([x]), tol=mf["tol"],
+            quad_step=mf["quad_step"])
         rows.append((x, res.value))
         diag.append({"coord": float(x), "iterates": res.iterates,
                      "last_delta": res.last_delta})
@@ -526,7 +515,7 @@ def _recipe_phase(cfg, sys, sched, out_dir) -> dict:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"run.z0 / run.anchor_index invalid: {exc}") from exc
     _check_z0(z0, sys.dim)
-    split, bundle = _analysis_stack(sys, sched, cfg)
+    split, bundle = _analysis_stack(sys, sched)
     sv = cfg.solver
     zeta = sched.zeta(i)
     res = asymptotic_phase(sys, sched, split, bundle, zeta, z0,
@@ -571,15 +560,14 @@ def _recipe_stability(cfg, sys, sched) -> dict:
 
 
 def _recipe_reduce(cfg, sys, sched) -> dict:
-    split, bundle = _analysis_stack(sys, sched, cfg)
+    split, bundle = _analysis_stack(sys, sched)
     mf = cfg.manifold
     radii, horizon, t0_samples, kw = _stability_kwargs(cfg, sched)
     g_eval = CenterEvaluator(
         sys, sched, split, bundle, box=mf["cache_box"],
         resolution=mf["cache_resolution"], tol=mf["tol"],
-        quad_step=mf["quad_step"], kappa=mf["kappa"],
-        time_period=mf["time_period"], time_subdiv=mf["time_subdiv"],
-        horizon=mf["horizon"])
+        quad_step=mf["quad_step"], time_period=mf["time_period"],
+        time_subdiv=mf["time_subdiv"])
     result = reduction_check(sys, sched, split, bundle, g_eval, radii=radii,
                              horizon=horizon, t0_samples=t0_samples,
                              seed=cfg.seed, tol=cfg.solver["tol"],

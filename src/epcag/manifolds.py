@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import ConstantsBundle, SpectralSplit, fit_growth_constant
+from .analysis import ConstantsBundle, SpectralSplit
 from .errors import (BoxExceededError, DivergenceError, EnvelopeError,
                      ParameterError, SmallnessError)
 from .schedule import ArgumentSchedule
@@ -308,36 +308,22 @@ def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
 # the backward-bounded center surface
 # ---------------------------------------------------------------------------
 
-def _shifted_constants(split: SpectralSplit, kappa: float, kappa_bar: float) -> float:
-    """Growth constant of the exponentially shifted blocks with weight
-    e^{-kappa_bar t} on [0, 60], fitted once per split: every eval_G of a
-    run asks for it."""
-    key = (kappa, kappa_bar)
-    if key not in split.shifted_K:
-        weight = lambda t: math.exp(-kappa_bar * t)
-        Bp, Bm = split.B_plus, split.B_minus
-        split.shifted_K[key] = fit_growth_constant(
-            Bp + kappa * np.eye(split.k), Bm + kappa * np.eye(Bm.shape[0]),
-            weight, weight, 60.0)
-    return split.shifted_K[key]
-
-
 def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
            bundle: ConstantsBundle, zeta: float, d, horizon: float | None = None,
-           tol: float = 1e-8, max_iter: int = 60, quad_step: float = 0.05,
-           kappa: float | None = None) -> ManifoldApprox:
+           tol: float = 1e-8, max_iter: int = 60,
+           quad_step: float = 0.05) -> ManifoldApprox:
     """Graph value of the center surface at (zeta, d) from the
     backward-truncated integral system over [zeta - horizon, zeta].
 
-    The exponential shift eta(t) = z(t) e^{kappa t} turns the neutral block
-    into an expanding one: its blocks are B_plus + kappa I and
-    B_minus + kappa I and its nonlinearity has Lipschitz constant
-    l e^{kappa theta}.  The shift gives the contraction constants and the
-    sweep norm max_j e^{kappa t_j} |z_j|; the successive approximation runs
-    on the unshifted blocks, which gives the same iterates because the
-    kernel-weighted quadrature commutes with the shift.  The weight
-    exponents follow from kappa: kappa_bar = 0.9 min(sigma - kappa, kappa)
-    and alpha1 = kappa_bar / 4.
+    The exponential shift eta(t) = z(t) e^{kappa t}, kappa = sigma / 2, turns
+    the neutral block into an expanding one: its blocks are B_plus + kappa I
+    and B_minus + kappa I and its nonlinearity has Lipschitz constant
+    l e^{kappa theta}.  The shift gives the contraction constants (growth
+    constant ``split.K_shifted`` with weight exponent ``split.kappa_bar``)
+    and the sweep norm max_j e^{kappa t_j} |z_j|; the successive
+    approximation runs on the unshifted blocks, which gives the same iterates
+    because the kernel-weighted quadrature commutes with the shift.  The
+    envelope exponent is alpha1 = kappa_bar / 4.
     """
     if not bundle.c10_pass:
         raise SmallnessError(
@@ -347,15 +333,9 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if d.shape != (nm,):
         raise ParameterError(f"d must have length {nm}, got shape {d.shape}")
-    sigma = split.sigma
-    if kappa is None:
-        kappa = sigma / 2.0
-    if not 0 < kappa < sigma:
-        raise ParameterError(f"kappa must lie in (0, sigma={sigma})")
-    kappa_bar = 0.9 * min(sigma - kappa, kappa)
+    kappa, kappa_bar, K_bar = split.kappa, split.kappa_bar, split.K_shifted
     alpha1 = kappa_bar / 4.0
     theta = bundle.theta
-    K_bar = _shifted_constants(split, kappa, kappa_bar)
     l_shift = bundle.l * math.exp(kappa * theta)
     p_bar = K_bar * (1.0 + math.exp(alpha1 * theta)) * (
         1.0 / (kappa_bar + alpha1) + 1.0 / (kappa_bar - alpha1))
@@ -365,7 +345,7 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
             f"{2 * p_bar * l_shift:.4g} >= 1 (shifted Lipschitz constant "
             f"{l_shift:.4g})")
     if horizon is None:
-        horizon = math.log(K_bar / max(tol, 1e-12)) / sigma
+        horizon = math.log(K_bar / max(tol, 1e-12)) / split.sigma
 
     fblock = _block_f(sys, split)
     grid = _PanelGrid(sched, _snap_down(sched, zeta - horizon), zeta, quad_step)
@@ -491,15 +471,13 @@ class CenterEvaluator:
                  split: SpectralSplit, bundle: ConstantsBundle, *,
                  box, resolution: int = 17, horizon: float | None = None,
                  tol: float = 1e-6, quad_step: float = 0.1,
-                 kappa: float | None = None, time_period: float | None = None,
-                 time_subdiv: int = 4):
+                 time_period: float | None = None, time_subdiv: int = 4):
         self.sys = sys
         self.sched = sched
         self.split = split
         self.bundle = bundle
         self.tol = tol
         self.quad_step = quad_step
-        self.kappa = kappa
         nm = sys.dim - split.k
         box = np.asarray(box, dtype=float)
         if box.ndim == 0:
@@ -554,7 +532,7 @@ class CenterEvaluator:
         """Uncached graph value at exact time t and coordinates d."""
         res = eval_G(self.sys, self.sched, self.split, self.bundle, t, d,
                      horizon=self.horizon, tol=self.tol, max_iter=40,
-                     quad_step=self.quad_step, kappa=self.kappa)
+                     quad_step=self.quad_step)
         return res.value
 
     # -- cached interpolation ----------------------------------------------

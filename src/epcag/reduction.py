@@ -36,6 +36,9 @@ __all__ = [
     "reduction_check",
 ]
 
+# classify_stability's fixed thresholds, reported with every verdict
+ESCAPE_FACTOR, BOUND_FACTOR, FIT_R2, MIN_EFOLDS = 10.0, 3.0, 0.98, 1.0
+
 _VERDICT_RANK = {
     "unstable": 0,
     "inconclusive": 0,
@@ -256,25 +259,22 @@ def _directions(n: int, n_random: int, rng) -> list:
 
 def classify_stability(sys: HybridSystem, sched: ArgumentSchedule,
                        radii, horizon: float, t0_samples, *, seed: int = 0,
-                       escape_factor: float = 10.0, bound_factor: float = 3.0,
-                       final_frac: float = 0.01, fit_r2: float = 0.98,
-                       min_efolds: float = 1.0, n_random_dirs: int = 8,
+                       final_frac: float = 0.01, n_random_dirs: int = 8,
                        step: float = 0.1, tol: float = 1e-8,
                        max_iter: int = 50) -> StabilityVerdict:
     """Classify the trivial solution by integrating stars of initial points.
 
     For each start time and radius a star of directions is integrated over
-    the horizon.  Any excursion beyond escape_factor*radius (or a blow-up)
-    makes the verdict unstable; all excursions within bound_factor*radius
-    make it stable, refined to asymptotically-stable when every final norm
-    is below final_frac*radius and to exponential when the log envelope over
-    the latter half of the horizon fits a line with R^2 >= fit_r2 AND the
-    fitted rate amounts to at least ``min_efolds`` e-folds of decay across
-    the fit window (algebraic tails look locally log-linear but only manage
-    a fixed fraction of an e-fold there, whatever the horizon).
-    Excursions between the two thresholds yield "inconclusive".
-    The envelope is resampled on 201 points of the horizon.  All thresholds
-    are sampling heuristics, configurable, not proofs.
+    the horizon.  Any excursion beyond 10 radii (or a blow-up) makes the
+    verdict unstable; all excursions within 3 radii make it stable, refined
+    to asymptotically-stable when every final norm is below final_frac*radius
+    and to exponential when the log envelope over the latter half of the
+    horizon fits a line with R^2 >= 0.98 AND the fitted rate amounts to at
+    least one e-fold of decay across the fit window (algebraic tails look
+    locally log-linear but only manage a fixed fraction of an e-fold there,
+    whatever the horizon).  Excursions between the two thresholds yield
+    "inconclusive".  The envelope is resampled on 201 points of the horizon.
+    All thresholds are sampling heuristics, not proofs.
     """
     rng = np.random.default_rng(seed)
     dirs = _directions(sys.dim, n_random_dirs, rng)
@@ -313,7 +313,7 @@ def classify_stability(sys: HybridSystem, sched: ArgumentSchedule,
                         max_exc = max(max_exc, float(np.max(norms)))
                         final_norm = float(norms[-1])
                         t_reached = min(sched.theta(seg.index + 1), t_end) - t0
-                        if max_exc > escape_factor * radius:
+                        if max_exc > ESCAPE_FACTOR * radius:
                             escaped = True
                             break
                         if seg.index == intervals[-1]:
@@ -328,7 +328,7 @@ def classify_stability(sys: HybridSystem, sched: ArgumentSchedule,
                     all_bounded = False
                     all_final_small = False
                 else:
-                    if max_exc > bound_factor * radius:
+                    if max_exc > BOUND_FACTOR * radius:
                         all_bounded = False
                     if final_norm > final_frac * radius:
                         all_final_small = False
@@ -360,16 +360,16 @@ def classify_stability(sys: HybridSystem, sched: ArgumentSchedule,
             efolds = -slope * (horizon - horizon / 2.0)
             fit = {"slope": float(slope), "intercept": float(intercept),
                    "r_squared": r2, "efolds_over_window": float(efolds)}
-            if r2 >= fit_r2 and slope < 0 and efolds >= min_efolds:
+            if r2 >= FIT_R2 and slope < 0 and efolds >= MIN_EFOLDS:
                 classification = "exponential"
                 rate = float(-slope)
     return StabilityVerdict(
         classification=classification, rate=rate, evidence=evidence,
         t0_sweep=list(t0_samples), fit=fit,
         params={"radii": list(map(float, radii)), "horizon": float(horizon),
-                "escape_factor": escape_factor, "bound_factor": bound_factor,
-                "final_frac": final_frac, "fit_r2": fit_r2,
-                "min_efolds": min_efolds, "seed": seed, "step": step},
+                "escape_factor": ESCAPE_FACTOR, "bound_factor": BOUND_FACTOR,
+                "final_frac": final_frac, "fit_r2": FIT_R2,
+                "min_efolds": MIN_EFOLDS, "seed": seed, "step": step},
     )
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -189,7 +190,7 @@ class TestCheckConditions:
         sys = HybridSystem(np.diag([-1.0, 0.0]), lambda t, z, w: np.zeros(2),
                            0.0, 2)
         report = self._run(sys)
-        d = report.as_dict()
+        d = json.loads(json.dumps(report.as_dict()))
         assert {e["name"] for e in d["entries"]} >= {
             "lipschitz-nonlinearity", "contraction-smallness",
             "manifold-smallness", "flat-origin-jacobian"}

@@ -202,6 +202,12 @@ class TestRun:
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["verdict"]["classification"] == "exponential"
         assert "exponential" in capsys.readouterr().out
+        # the fixed classifier thresholds are still reported with the verdict
+        params = rep["verdict"]["params"]
+        assert {key: params[key] for key in ("escape_factor", "bound_factor",
+                                             "fit_r2", "min_efolds")} == {
+            "escape_factor": 10.0, "bound_factor": 3.0, "fit_r2": 0.98,
+            "min_efolds": 1.0}
 
     def test_example1_recipe(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"recipe": "example1",
@@ -290,7 +296,7 @@ class TestHeavyRecipes:
     def test_repeated_run_repeats_its_work(self, tmp_path, monkeypatch):
         # a run may memoize within itself but carries nothing over to the
         # next run in the same process: each run fits its constants anew
-        from epcag import analysis, manifolds
+        from epcag import analysis
         fit = analysis.fit_growth_constant
         calls = []
 
@@ -299,7 +305,6 @@ class TestHeavyRecipes:
             return fit(*args)
 
         monkeypatch.setattr(analysis, "fit_growth_constant", counted)
-        monkeypatch.setattr(manifolds, "fit_growth_constant", counted)
         cfg = ExperimentConfig.from_dict(simulate_config(
             recipe="manifold-G",
             schedule={"kind": "epca", "window": [-50, 60]},
@@ -447,7 +452,7 @@ _BAD_INPUTS = [pytest.param(recipe, path, value, flags,
     ("simulate", "solver.step", "x"),
     ("simulate", "solver.max_iter", "x"),
     ("manifold-G", "manifold.tol", "x"),
-    ("conditions", "manifold.alpha", "x"),
+    ("conditions", "manifold.quad_step", "x"),
     ("reduce", "manifold.cache_resolution", "x"),
     ("stability", "stability.horizon", "x"),
     ("stability", "stability.radii", "x"),
@@ -456,12 +461,23 @@ _BAD_INPUTS = [pytest.param(recipe, path, value, flags,
     ("simulate", "system.lipschitz_l", "x"),
     ("simulate", "system.nonlinearity.params", {}),
     ("simulate", "system.nonlinearity.params", {"amp": "x"}),
-    ("manifold-F", "manifold.max_iter", 0),
+    ("manifold-F", "solver.max_iter", 0),
     ("manifold-F", "manifold.quad_step", -0.1),
     ("simulate", "", [1, 2]),
     ("simulate", "solver", "x", "--step", "0.1"),
     ("simulate", "solver", "x", "--tol", "1e-6"),
     ("stability", "stability.horizon", -5.0),
+    ("simulate", "system.nonlinearity", "zero"),
+    ("stability", "seed", -1),
+    ("stability", "seed", 0, "--seed", "-1"),
+    ("stability", "stability.step", 0),
+    ("stability", "stability.step", -0.1),
+    ("stability", "stability.radii", [-0.1]),
+    ("stability", "stability.radii", [0.0]),
+    ("stability", "stability.final_frac", float("nan")),
+    ("manifold-G", "manifold.tol", 0),
+    ("reduce", "manifold.time_period", -1),
+    ("reduce", "manifold.time_subdiv", 0),
 ]]
 
 
@@ -486,3 +502,22 @@ def test_invalid_input_exits_2_without_traceback(recipe, path, value, flags,
     if report.exists():
         err = json.loads(report.read_text())["error"]
         assert issubclass(getattr(errors, err["type"]), ConfigError)
+
+
+@pytest.mark.parametrize("path", [
+    "manifold.kappa", "manifold.alpha", "manifold.sigma", "manifold.horizon",
+    "manifold.max_iter", "stability.escape_factor", "stability.bound_factor",
+    "stability.fit_r2", "stability.min_efolds"])
+def test_removed_key_is_unknown(path, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(simulate_config(), path, 1.0)))
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown key {path}" in capsys.readouterr().err
+
+
+def test_readme_example_config_is_valid():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.from_dict(dict(json.loads(block), recipe="reduce"))
+    assert cfg.recipe == "reduce" and cfg.seed == 7

@@ -18,9 +18,9 @@ from epcag import (
 from epcag.errors import (BoxExceededError, DivergenceError, EnvelopeError,
                           ParameterError, SmallnessError)
 from epcag.analysis import _sampled_sup, fit_growth_constant
-from epcag import manifolds, reduction
+from epcag import analysis, manifolds, reduction
 from epcag.manifolds import (_PanelGrid, _block_f, _kernels, _check_envelope,
-                              _shifted_constants, _snap_down, _sweep)
+                              _snap_down, _sweep)
 
 AMP = 0.01
 
@@ -219,8 +219,10 @@ class TestEvalG:
             assert abs(vals[d1] - vals[d2]) <= bound * abs(d1 - d2) * 1.05 + 1e-12
 
     def test_shifted_constant_memo_is_the_direct_fit(self, monkeypatch):
-        split = spectral_split(np.array([[-1.0, 0.3], [0.0, 0.0]]))
-        kappa, kappa_bar = 0.25, 0.2
+        A = np.array([[-1.0, 0.3], [0.0, 0.0]])
+        split, again = spectral_split(A), spectral_split(A)
+        kappa, kappa_bar = split.kappa, split.kappa_bar
+        assert (kappa, kappa_bar) == (split.sigma / 2.0, 0.9 * kappa)
         weight = lambda t: math.exp(-kappa_bar * t)
         direct = 1.1 * max(
             1.0,
@@ -232,15 +234,37 @@ class TestEvalG:
             calls.append(args)
             return fit_growth_constant(*args)
 
-        monkeypatch.setattr(manifolds, "fit_growth_constant", counted)
-        assert _shifted_constants(split, kappa, kappa_bar) == direct
-        # the second call on the same split is a memo hit
-        assert _shifted_constants(split, kappa, kappa_bar) == direct
+        monkeypatch.setattr(analysis, "fit_growth_constant", counted)
+        assert split.K_shifted == direct
+        # one fit per split: the second read is a memo hit
+        assert split.K_shifted == direct
         assert len(calls) == 1
         # an equal split built anew fits again: nothing outlives its split
-        again = spectral_split(np.array([[-1.0, 0.3], [0.0, 0.0]]))
-        assert _shifted_constants(again, kappa, kappa_bar) == direct
+        assert again.K_shifted == direct
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("A", [
+        np.diag([-1.0, 0.0]),
+        # non-normal blocks, so the fit exceeds its floor 1.1
+        np.array([[-1.0, 4.0, 0.3], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]]),
+        np.array([[-1.0, 0.2, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+    ], ids=["diagonal", "non-identity-transform", "2d-neutral-block"])
+    def test_split_shifted_constant_matches_the_graph_map_fit(self, A):
+        # the fit eval_G made with kappa = sigma / 2 before the split held it
+        def parent_shifted_constants(split, kappa, kappa_bar):
+            weight = lambda t: math.exp(-kappa_bar * t)
+            Bp, Bm = split.B_plus, split.B_minus
+            return fit_growth_constant(
+                Bp + kappa * np.eye(split.k), Bm + kappa * np.eye(Bm.shape[0]),
+                weight, weight, 60.0)
+
+        split = spectral_split(A)
+        sigma = split.sigma
+        kappa = sigma / 2.0
+        kappa_bar = 0.9 * min(sigma - kappa, kappa)
+        assert (split.kappa, split.kappa_bar) == (kappa, kappa_bar)
+        assert split.K_shifted == parent_shifted_constants(split, kappa,
+                                                           kappa_bar)
 
     def test_backward_envelope(self, epca_sched, diag_split):
         amp = 0.01
