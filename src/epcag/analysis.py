@@ -172,14 +172,16 @@ def fit_growth_constant(B_plus: np.ndarray, B_minus: np.ndarray, w_plus, w_minus
     return 1.1 * max(1.0, r1, r2)
 
 
-def spectral_split(A: np.ndarray, sigma: float | None = None) -> SpectralSplit:
+def spectral_split(A: np.ndarray) -> SpectralSplit:
     """Order-and-split A into its decaying and neutral blocks.
 
     Every eigenvalue must satisfy Re < -1e-7 or |Re| <= 1e-7; anything
     with Re > 1e-7 is rejected (the constructions assume no expanding
     directions).  The change of basis comes from an ordered real Schur form
-    with the coupling block removed by a Sylvester solve.  The growth
-    constant is fitted over [0, 20 / sigma].
+    with the coupling block removed by a Sylvester solve.  The decay rate
+    is sigma = |mu| / 2 for the slowest decaying eigenvalue real part mu
+    (1 when nothing decays), and the growth constant is fitted over
+    [0, 20 / sigma].
     """
     tol_eig = 1e-7
     import scipy.linalg as sla  # deferred: most of epcag's import time
@@ -219,12 +221,7 @@ def spectral_split(A: np.ndarray, sigma: float | None = None) -> SpectralSplit:
     B_plus = D[:k, :k].copy()
     B_minus = D[k:, k:].copy()
 
-    if sigma is None:
-        sigma = abs(mu) / 2.0 if k > 0 else 1.0
-    elif k > 0 and not (0 < sigma < abs(mu)):
-        raise ParameterError(f"sigma must lie in (0, {abs(mu)}), got {sigma}")
-    elif k == 0 and sigma <= 0:
-        raise ParameterError("sigma must be positive")
+    sigma = abs(mu) / 2.0 if k > 0 else 1.0
 
     m_pow = max(0, _max_jordan_block(B_minus) - 1)
     K_const = fit_growth_constant(B_plus, B_minus, lambda t: math.exp(-sigma * t),

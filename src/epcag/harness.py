@@ -222,6 +222,16 @@ _ABOVE = {"n_random_dirs": -1, "cache_resolution": 1,
           "t0_samples": -math.inf, "cache_box": -math.inf}
 
 
+def _integer(val) -> int:
+    """``val`` as an int; a non-integral or non-finite number is an error."""
+    if isinstance(val, int):
+        return int(val)
+    f = float(val)
+    if not f.is_integer():
+        raise ValueError("must be an integer")
+    return int(f)
+
+
 def _number(key: str, val):
     """A section value read as the type its key takes."""
     if key in ("radii", "t0_samples"):
@@ -231,7 +241,7 @@ def _number(key: str, val):
     if key == "cache_box":  # one half-width, or (lo, hi) per coordinate
         return np.asarray(val, dtype=float).tolist()
     if key in ("max_iter", "cache_resolution", "time_subdiv", "n_random_dirs"):
-        return int(val)
+        return _integer(val)
     return float(val)
 
 
@@ -286,10 +296,11 @@ class ExperimentConfig:
         manifold = _merged(_MANIFOLD_DEFAULTS, cfg.get("manifold", {}), "manifold")
         stability = _merged(_STABILITY_DEFAULTS, cfg.get("stability", {}),
                             "stability")
+        val = cfg.get("seed", 0)
         try:
-            seed = int(cfg.get("seed", 0))
+            seed = _integer(val)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"seed must be an integer: {exc}") from exc
+            raise ConfigError(f"seed = {val!r} must be an integer: {exc}") from exc
         if seed < 0:
             raise ConfigError(f"seed must be non-negative, got {seed}")
         return cls(

@@ -469,9 +469,9 @@ class CenterEvaluator:
 
     def __init__(self, sys: HybridSystem, sched: ArgumentSchedule,
                  split: SpectralSplit, bundle: ConstantsBundle, *,
-                 box, resolution: int = 17, horizon: float | None = None,
-                 tol: float = 1e-6, quad_step: float = 0.1,
-                 time_period: float | None = None, time_subdiv: int = 4):
+                 box, resolution: int = 17, tol: float = 1e-6,
+                 quad_step: float = 0.1, time_period: float | None = None,
+                 time_subdiv: int = 4):
         self.sys = sys
         self.sched = sched
         self.split = split
@@ -490,9 +490,7 @@ class CenterEvaluator:
         self.resolution = int(resolution)
         if self.resolution < 2:
             raise ParameterError("resolution must be at least 2")
-        if horizon is None:
-            horizon = default_stable_horizon(split, max(tol, 1e-10))
-        self.horizon = horizon
+        self.horizon = horizon = default_stable_horizon(split, max(tol, 1e-10))
         self.time_period = time_period
         if time_period is not None:
             self.t_ref = t_ref = _snap_up(

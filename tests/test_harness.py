@@ -470,6 +470,9 @@ _BAD_INPUTS = [pytest.param(recipe, path, value, flags,
     ("simulate", "system.nonlinearity", "zero"),
     ("stability", "seed", -1),
     ("stability", "seed", 0, "--seed", "-1"),
+    ("stability", "seed", float("inf")),
+    ("stability", "seed", 2.7),
+    ("reduce", "manifold.cache_resolution", 4.5),
     ("stability", "stability.step", 0),
     ("stability", "stability.step", -0.1),
     ("stability", "stability.radii", [-0.1]),
