@@ -5,7 +5,9 @@ their integral equations, with truncated improper integrals.
 All quadrature runs on panel grids aligned to the schedule breakpoints, so
 each panel sees a single anchor value and the piecewise-smooth integrands are
 integrated at full order.  Kernel-weighted composite Simpson rules propagate
-the cumulative integrals in one pass per sweep.
+the cumulative integrals in one pass per sweep, a few matrix products per
+panel; their kernel tables are built once per successive approximation, one
+per distinct panel shape, and shared by all of its sweeps.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import ConstantsBundle, SpectralSplit
-from .errors import (BoxExceededError, DivergenceError, EnvelopeError,
-                     ParameterError, SmallnessError)
+from .errors import (BoxExceededError, ConfigError, DivergenceError,
+                     EnvelopeError, ParameterError, SmallnessError)
 from .schedule import ArgumentSchedule
 from .solver import HybridSystem, solve_forward
 
@@ -122,47 +124,76 @@ class _PanelGrid:
         return len(self.ts)
 
 
-def _kernels(B: np.ndarray, delta: float, cache: dict):
-    key = round(delta, 15)
-    if key not in cache:
-        import scipy.linalg as sla  # deferred: most of epcag's import time
-        E1 = sla.expm(B * delta)
-        E1inv = sla.expm(-B * delta)
-        cache[key] = (E1, E1 @ E1, E1inv)
-    return cache[key]
+def _panel_table(B: np.ndarray, delta: float, n_sub: int):
+    """Kernels of one panel shape: E1 = e^{B delta}, E2 = E1^2, E1^{-1},
+    the stacked powers E2^1..E2^h (h = n_sub / 2) and the lower-triangular
+    block-Toeplitz matrix of E2^(q - r), q >= r."""
+    import scipy.linalg as sla  # deferred: most of epcag's import time
+    d, h = B.shape[0], n_sub // 2
+    E1 = sla.expm(B * delta)
+    E1inv = sla.expm(-B * delta)
+    E2 = E1 @ E1
+    powers = [np.eye(d)]
+    for _ in range(h):
+        powers.append(powers[-1] @ E2)
+    lag = np.subtract.outer(np.arange(h), np.arange(h))
+    T = np.stack(powers[:h])[np.maximum(lag, 0)] * (lag >= 0)[:, :, None, None]
+    return (delta, E1.T, E2.T, E1inv.T, np.vstack(powers[1:]),
+            T.transpose(0, 2, 1, 3).reshape(h * d, h * d))
 
 
-def _sweep(B, grid: _PanelGrid, gvals, x0, backward: bool = False):
-    """X(t_j) = e^{B(t_j - t_0)} x0 + cumulative integral of
-    e^{B(t_j - s)} g(s) ds from t_0, fourth order.
-
-    With ``backward`` the start value ``x0`` is X(t_N) and
-    X(t_j) = e^{B(t_j - t_N)} x0 - integral over [t_j, t_N]: the same
-    recursion in mirrored time s -> -s, run on -B over the reversed panels
-    with the samples reversed and negated, its output reversed back.
-    """
+def _sweep_tables(B: np.ndarray, grid: _PanelGrid, backward: bool = False):
+    """Sweep kernels of ``B`` on ``grid``, one table per distinct panel
+    shape (delta, n_sub): ``(N, d, [(first node, table) per panel])`` in
+    the order the sweep visits the panels.  With ``backward`` the panels are
+    those of the mirrored-time recursion on -B (see :func:`_sweep`)."""
     d = B.shape[0]
-    X = np.zeros((len(grid), d))
-    if d == 0:
-        return X
     spans = [(p.start, p.n_sub, p.delta) for p in grid.panels]
     if backward:
         last = len(grid) - 1
         B = -B
         spans = [(last - start - n_sub, n_sub, dl)
                  for start, n_sub, dl in reversed(spans)]
+    shapes: dict = {}
+    panels = []
+    for base, n_sub, dl in spans:
+        key = (round(dl, 15), n_sub)
+        if d and key not in shapes:
+            shapes[key] = _panel_table(B, dl, n_sub)
+        panels.append((base, shapes.get(key)))
+    return len(grid), d, panels
+
+
+def _sweep(tables, gvals, x0, backward: bool = False):
+    """X(t_j) = e^{B(t_j - t_0)} x0 + cumulative integral of
+    e^{B(t_j - s)} g(s) ds from t_0, fourth order, with the kernels of
+    ``tables`` (:func:`_sweep_tables` of B on the grid).
+
+    Each panel of 2h sub-steps is one composite Simpson rule weighted by the
+    kernel: with c_r = (delta/3)(E2 g_2r + 4 E1 g_2r+1 + g_2r+2), its even
+    nodes are x_2r = E2^r x_0 + sum_{s<r} E2^(r-1-s) c_s, one product with
+    the stacked powers and one with their block-Toeplitz matrix, and its
+    odd nodes follow from the even node before them.
+
+    With ``backward`` the start value ``x0`` is X(t_N) and
+    X(t_j) = e^{B(t_j - t_N)} x0 - integral over [t_j, t_N]: the same
+    recursion in mirrored time s -> -s, run on -B over the reversed panels
+    with the samples reversed and negated, its output reversed back.
+    """
+    n_nodes, d, panels = tables
+    X = np.zeros((n_nodes, d))
+    if d == 0:
+        return X
+    if backward:
         gvals = [-g[::-1] for g in reversed(gvals)]
     X[0] = x0
-    cache: dict = {}
-    for (base, n_sub, dl), g in zip(spans, gvals):
-        E1, E2, E1inv = _kernels(B, dl, cache)
-        for q in range(0, n_sub, 2):
-            g0, g1, g2 = g[q], g[q + 1], g[q + 2]
-            x = X[base + q]
-            X[base + q + 1] = E1 @ x + (dl / 12.0) * (
-                5.0 * (E1 @ g0) + 8.0 * g1 - E1inv @ g2)
-            X[base + q + 2] = E2 @ x + (dl / 3.0) * (
-                E2 @ g0 + 4.0 * (E1 @ g1) + g2)
+    for (base, (dl, E1t, E2t, E1invt, P, T)), g in zip(panels, gvals):
+        end = base + len(g) - 1
+        g0, g1, g2 = g[:-1:2], g[1::2], g[2::2]
+        c = (dl / 3.0) * (g0 @ E2t + 4.0 * (g1 @ E1t) + g2)
+        X[base + 2:end + 1:2] = (P @ X[base] + T @ c.ravel()).reshape(-1, d)
+        X[base + 1:end:2] = (dl / 12.0) * (
+            5.0 * (g0 @ E1t) + 8.0 * g1 - g2 @ E1invt) + X[base:end - 1:2] @ E1t
     return X[::-1] if backward else X
 
 
@@ -234,11 +265,13 @@ def _picard(Bp, Bm, g, grid: _PanelGrid, u0, v_end, tol, max_iter, weight=1.0):
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     k = Bp.shape[0]
     Z = np.zeros((len(grid), k + Bm.shape[0]))
+    fwd = _sweep_tables(Bp, grid)
+    bwd = _sweep_tables(Bm, grid, backward=True)
     deltas: list = []
     for m in range(max_iter):
         gv = g(Z)
-        U = _sweep(Bp, grid, [gi[:, :k] for gi in gv], u0)
-        V = _sweep(Bm, grid, [gi[:, k:] for gi in gv], v_end, backward=True)
+        U = _sweep(fwd, [gi[:, :k] for gi in gv], u0)
+        V = _sweep(bwd, [gi[:, k:] for gi in gv], v_end, backward=True)
         Znew = np.hstack([U, V])
         delta = float(np.max(weight * np.linalg.norm(Znew - Z, axis=1)))
         Z = Znew
@@ -484,8 +517,9 @@ class CenterEvaluator:
             box = np.stack([-box * np.ones(nm), box * np.ones(nm)])
         elif box.shape == (2,) and nm != 2:
             box = np.stack([box[0] * np.ones(nm), box[1] * np.ones(nm)])
-        if box.shape != (2, nm):
-            raise ParameterError(f"box must give (lo, hi) per coordinate, got {box.shape}")
+        if box.shape != (2, nm) or not np.all(box[0] < box[1]):
+            raise ConfigError(f"box must give (lo, hi) with lo < hi per "
+                              f"coordinate, got {box.tolist()}")
         self.lo, self.hi = box[0], box[1]
         self.resolution = int(resolution)
         if self.resolution < 2:

@@ -481,6 +481,10 @@ _BAD_INPUTS = [pytest.param(recipe, path, value, flags,
     ("manifold-G", "manifold.tol", 0),
     ("reduce", "manifold.time_period", -1),
     ("reduce", "manifold.time_subdiv", 0),
+    ("reduce", "manifold.cache_box", -1.0),
+    ("reduce", "manifold.cache_box", 0.0),
+    ("reduce", "manifold.cache_box", [[1.0], [-1.0]]),
+    ("reduce", "manifold.cache_box", [1.0, 2.0, 3.0]),
 ]]
 
 

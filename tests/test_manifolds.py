@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from epcag import (
@@ -19,8 +20,8 @@ from epcag.errors import (BoxExceededError, DivergenceError, EnvelopeError,
                           ParameterError, SmallnessError)
 from epcag.analysis import _sampled_sup, fit_growth_constant
 from epcag import analysis, manifolds, reduction
-from epcag.manifolds import (_PanelGrid, _block_f, _kernels, _check_envelope,
-                              _snap_down, _sweep)
+from epcag.manifolds import (_PanelGrid, _block_f, _check_envelope,
+                              _snap_down, _sweep, _sweep_tables)
 
 AMP = 0.01
 
@@ -534,8 +535,10 @@ def test_nonpositive_step_and_zero_sweeps_rejected(stack):
 
 
 class TestQuadratureSweeps:
-    """Order verification of the kernel-weighted cumulative rules against
-    scipy.integrate.quad on a smooth non-polynomial integrand."""
+    """The kernel-weighted cumulative rules: their order against
+    scipy.integrate.quad on a smooth non-polynomial integrand, their
+    agreement with the node-pair recursion, and when their kernels are
+    built."""
 
     def test_forward_sweep_fourth_order(self, epca_sched):
         from scipy.integrate import quad
@@ -552,7 +555,7 @@ class TestQuadratureSweeps:
             gv = [np.array([[g(grid.ts[p.start + q])]
                             for q in range(p.n_sub + 1)])
                   for p in grid.panels]
-            X = _sweep(B, grid, gv, x0)
+            X = _sweep(_sweep_tables(B, grid), gv, x0)
             errs.append(abs(X[-1, 0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
@@ -569,37 +572,90 @@ class TestQuadratureSweeps:
             gv = [np.array([[g(grid.ts[p.start + q])]
                             for q in range(p.n_sub + 1)])
                   for p in grid.panels]
-            X = _sweep(B, grid, gv, xT, backward=True)
+            X = _sweep(_sweep_tables(B, grid, backward=True), gv, xT,
+                       backward=True)
             errs.append(abs(X[0, 0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
-    @pytest.mark.parametrize("kind", ["alternating", "randomized"])
+    @pytest.mark.parametrize("kind", ["epca", "alternating", "randomized"])
     @pytest.mark.parametrize("B", [[[-0.6, 1.5], [0.0, -0.2]],
                                    [[0.0, 1.0], [0.0, 0.0]]])
     def test_merged_sweep_matches_the_two_directional_recursions(self, kind, B):
-        # oracle: the separate forward recursion and its right-to-left mirror
-        # image.  The forward one is the same arithmetic as _sweep; the
-        # backward one sums three quadrature terms in another order.
-        if kind == "alternating":  # a short last panel
+        # oracle: the node-pair recursion forward and its right-to-left
+        # mirror image, with kernels rebuilt on every call
+        if kind == "epca":
+            sched = make_schedule("epca", window=(-3, 5))
+            grid = _PanelGrid(sched, sched.t_min, sched.t_max, 0.1)
+        elif kind == "alternating":  # a short last panel
             sched = make_schedule("alternating", window=(-2, 6))
             grid = _PanelGrid(sched, sched.t_min, sched.t_max - 0.3, 0.1)
         else:
             sched = make_schedule("randomized", window=(0, 12), theta_bound=1.3,
                                   seed=5, t_start=-1.0)
             grid = _PanelGrid(sched, sched.t_min, sched.t_max, 0.1)
-        assert len({round(p.delta, 12) for p in grid.panels}) > 1
+        if kind != "epca":
+            assert len({round(p.delta, 12) for p in grid.panels}) > 1
         B = np.array(B)
         g = lambda s: np.array([math.sin(1.3 * s) + 0.3,
                                 math.cos(0.7 * s) * math.exp(0.1 * s)])
         gv = [np.array([g(grid.ts[p.start + q]) for q in range(p.n_sub + 1)])
               for p in grid.panels]
         x = np.array([0.7, -0.4])
-        for new, old in ((_sweep(B, grid, gv, x), forward_sweep(B, grid, gv, x)),
-                         (_sweep(B, grid, gv, x, backward=True),
-                          backward_sweep(B, grid, gv, x))):
+        fwd = _sweep(_sweep_tables(B, grid), gv, x)
+        bwd = _sweep(_sweep_tables(B, grid, backward=True), gv, x,
+                     backward=True)
+        for new, old in ((fwd, forward_sweep(B, grid, gv, x)),
+                         (bwd, backward_sweep(B, grid, gv, x))):
             assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
-        assert np.array_equal(_sweep(B, grid, gv, x)[0], x)
-        assert np.array_equal(_sweep(B, grid, gv, x, backward=True)[-1], x)
+        assert np.array_equal(fwd[0], x)
+        assert np.array_equal(bwd[-1], x)
+
+    def test_tables_are_built_once_per_picard_run(self, monkeypatch):
+        # two expm per distinct panel shape and direction, however many
+        # sweeps the run takes
+        sys = damped_cubic([[-1.0, 0.3], [0.0, 0.0]])
+        sched = SCHEDULES["randomized"]()
+        split = spectral_split(sys.A)
+        bundle = compute_constants(sys.A, split, sched, sys.lipschitz_l)
+        split.K_shifted  # fitted once per split, outside the count
+        zeta = sched.zeta(sched.i_min + len(sched.zetas) - 4)
+        grid = _PanelGrid(sched, _snap_down(sched, zeta - 20.0), zeta, 0.1)
+        shapes = {(round(p.delta, 15), p.n_sub) for p in grid.panels}
+        assert len(shapes) > 10
+        expm = scipy.linalg.expm
+        calls = []
+
+        def counted(M):
+            calls.append(M.shape)
+            return expm(M)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        sweeps = []
+        for tol in (1e-4, 1e-10):
+            calls.clear()
+            res = eval_G(sys, sched, split, bundle, zeta, [0.9], horizon=20.0,
+                         tol=tol, quad_step=0.1)
+            assert np.array_equal(res.ts, grid.ts)
+            assert len(calls) == 2 * 2 * len(shapes)
+            sweeps.append(len(res.deltas))
+        assert 3 <= sweeps[0] < sweeps[1]
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_zero_dimensional_block(self, epca_sched, backward, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "expm", None)  # no kernel is built
+        grid = _PanelGrid(epca_sched, 0.0, 3.0, 0.1)
+        tables = _sweep_tables(np.zeros((0, 0)), grid, backward=backward)
+        gv = [np.zeros((p.n_sub + 1, 0)) for p in grid.panels]
+        X = _sweep(tables, gv, np.zeros(0), backward=backward)
+        assert X.shape == (len(grid), 0)
+
+
+def _kernels(B, delta, cache):
+    key = round(delta, 15)
+    if key not in cache:
+        E1 = scipy.linalg.expm(B * delta)
+        cache[key] = (E1, E1 @ E1, scipy.linalg.expm(-B * delta))
+    return cache[key]
 
 
 def forward_sweep(B, grid, gvals, init):
@@ -670,6 +726,8 @@ def parent_picard(Bp, Bm, gfun, grid, u0, v_end, tol, max_iter):
     k = Bp.shape[0]
     n = k + Bm.shape[0]
     Z = np.zeros((len(grid), n))
+    fwd = _sweep_tables(Bp, grid)
+    bwd = _sweep_tables(Bm, grid, backward=True)
     deltas = []
     for _ in range(max_iter):
         g = []
@@ -680,8 +738,8 @@ def parent_picard(Bp, Bm, gfun, grid, u0, v_end, tol, max_iter):
                 j = p.start + q
                 loc[q] = gfun(grid.ts[j], Z[j], w, p.t_beta)
             g.append(loc)
-        U = _sweep(Bp, grid, [gi[:, :k] for gi in g], u0)
-        V = _sweep(Bm, grid, [gi[:, k:] for gi in g], v_end, backward=True)
+        U = _sweep(fwd, [gi[:, :k] for gi in g], u0)
+        V = _sweep(bwd, [gi[:, k:] for gi in g], v_end, backward=True)
         Znew = np.hstack([U, V])
         deltas.append(float(np.max(np.linalg.norm(Znew - Z, axis=1))))
         Z = Znew

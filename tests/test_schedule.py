@@ -118,3 +118,34 @@ class TestInvariants:
         sched = make_schedule("epca", window=(0, 3))
         with pytest.raises(ValueError):
             sched.thetas[0] = 99.0
+
+
+class TestRandomizedInvariants:
+    @given(bound=st.floats(min_value=0.01, max_value=10.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           i_min=st.integers(min_value=-50, max_value=50),
+           n=st.integers(min_value=1, max_value=300),
+           t_start=st.floats(min_value=-1e3, max_value=1e3),
+           fracs=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                          min_size=1, max_size=10))
+    @settings(max_examples=200)
+    def test_gaps_anchors_and_beta(self, bound, seed, i_min, n, t_start,
+                                   fracs):
+        sched = make_schedule("randomized", window=(i_min, i_min + n),
+                              theta_bound=bound, seed=seed, t_start=t_start)
+        assert (sched.i_min, sched.i_max) == (i_min, i_min + n)
+        # gaps are drawn in (bound/4, bound]; the endpoints are their
+        # running sums, exact up to rounding of the endpoint values
+        slack = 1e-13 * max(1.0, float(np.max(np.abs(sched.thetas))))
+        gaps = np.diff(sched.thetas)
+        assert np.all(gaps > bound / 4 - slack)
+        assert np.all(gaps <= bound + slack)
+        assert np.all(sched.thetas[:-1] <= sched.zetas)
+        assert np.all(sched.zetas <= sched.thetas[1:])
+        for frac in fracs:
+            t = sched.t_min + frac * (sched.t_max - sched.t_min)
+            t = min(max(t, sched.t_min), sched.t_max)
+            i = sched.interval_index(t)
+            lo, hi = sched.theta(i), sched.theta(i + 1)
+            assert lo <= t <= hi and (t < hi or t == sched.t_max)
+            assert lo <= sched.beta(t) <= hi
