@@ -62,7 +62,8 @@ class SpectralSplit:
         return np.linalg.inv(self.transform)
 
     def to_block(self, z: np.ndarray) -> np.ndarray:
-        return self.transform @ np.asarray(z, dtype=float)
+        """Block coordinates of a state or of stacked state rows."""
+        return (self.transform @ np.asarray(z, dtype=float).T).T
 
     def from_block(self, zh: np.ndarray) -> np.ndarray:
         """Original coordinates of a block vector or of stacked block rows."""

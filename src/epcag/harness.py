@@ -1,5 +1,9 @@
 """Experiment front-end: config parsing, the built-in nonlinearity catalog,
-named recipes, and artifact writing (CSVs, JSON report, manifest)."""
+named recipes, and artifact writing (CSVs, JSON report, manifest).
+
+Every catalog nonlinearity takes one state or stacked states, one row per
+point (the contract in :mod:`epcag.solver`), with last-axis numpy operations
+that make a stacked call equal its per-row calls bit for bit."""
 
 from __future__ import annotations
 
@@ -42,16 +46,22 @@ RECIPES = ("simulate", "continue-backward", "manifold-F", "manifold-G",
 # nonlinearity catalog
 # ---------------------------------------------------------------------------
 
+# Components are read as z.T[j]: a number for one state, a column for
+# stacked states.  They are combined with products and ufuncs, never powers:
+# numpy rounds a power of an array and of a single number differently.
+
 def _sat_cubic(x):
-    return x**3 / (1.0 + x**2)
+    x2 = x * x
+    return x2 * x / (1.0 + x2)
 
 
 def _sat_square(x):
-    return x**2 / (1.0 + x**2)
+    x2 = x * x
+    return x2 / (1.0 + x2)
 
 
 def _make_zero(params, dim):
-    return (lambda t, z, w: np.zeros(dim)), 0.0
+    return (lambda t, z, w: np.zeros(np.shape(z))), 0.0
 
 
 def _make_example1_quadratic(params, dim):
@@ -60,7 +70,7 @@ def _make_example1_quadratic(params, dim):
     radius = float(params.get("radius", 15.0))
 
     def f(t, z, w):
-        return np.array([-w[0] ** 2])
+        return np.array([-(w.T[0] * w.T[0])]).T
 
     return f, 2.0 * radius
 
@@ -80,7 +90,8 @@ def _make_tanh_coupled(params, dim):
     amp = float(params["amp"])
 
     def f(t, z, w):
-        return np.array([0.0, amp * math.tanh(w[0])])
+        rate = amp * np.tanh(w.T[0])
+        return np.array([rate - rate, rate]).T   # rate - rate: zeros like rate
 
     return f, abs(amp)
 
@@ -95,7 +106,8 @@ def _make_center_cubic(params, dim):
         raise ConfigError("center-cubic sign must be +1 or -1")
 
     def f(t, z, w):
-        return np.array([eps * _sat_square(w[1]), sign * a * _sat_cubic(z[1])])
+        return np.array([eps * _sat_square(w.T[1]),
+                         sign * a * _sat_cubic(z.T[1])]).T
 
     return f, max(1.125 * abs(a), 0.6495 * abs(eps))
 

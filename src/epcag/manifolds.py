@@ -4,10 +4,13 @@ their integral equations, with truncated improper integrals.
 
 All quadrature runs on panel grids aligned to the schedule breakpoints, so
 each panel sees a single anchor value and the piecewise-smooth integrands are
-integrated at full order.  Kernel-weighted composite Simpson rules propagate
-the cumulative integrals in one pass per sweep, a few matrix products per
-panel; their kernel tables are built once per successive approximation, one
-per distinct panel shape, and shared by all of its sweeps.
+integrated at full order.  Each sweep samples the nonlinearity on every
+panel node in one stacked call, ``f(t, Z, W)`` with one row per node (see
+:mod:`epcag.solver` for the contract).  Kernel-weighted composite Simpson
+rules then propagate the cumulative integrals in one pass, a few matrix
+products per panel shape with one d-by-d step per panel end.  Their kernel
+tables are built once per successive approximation, one per distinct panel
+shape, and shared by all of its sweeps.
 """
 
 from __future__ import annotations
@@ -73,7 +76,14 @@ class _Panel:
 
 class _PanelGrid:
     """Global node array over [t_lo, t_hi] split at every schedule breakpoint
-    and anchor, with even uniform sub-grids per panel."""
+    and anchor, with even uniform sub-grids per panel.
+
+    The nonlinearity is sampled panel by panel, each panel on all of its
+    nodes with its own anchor value, so a node shared by two panels is
+    sampled twice.  ``rows`` lists the node of every sample in that order,
+    ``betas`` the node of its panel's anchor, and ``offsets`` where each
+    panel's samples start (one more entry, the sample count, at the end).
+    """
 
     def __init__(self, sched: ArgumentSchedule, t_lo: float, t_hi: float,
                  max_h: float):
@@ -119,15 +129,21 @@ class _PanelGrid:
                     f"covered by the quadrature window [{t_lo}, {t_hi}]"
                 )
             p.beta_idx = hit
+        self.rows = np.concatenate([np.arange(p.start, p.start + p.n_sub + 1)
+                                    for p in self.panels])
+        self.betas = np.repeat([p.beta_idx for p in self.panels],
+                               [p.n_sub + 1 for p in self.panels])
+        self.offsets = np.cumsum([0] + [p.n_sub + 1 for p in self.panels])
 
     def __len__(self):
         return len(self.ts)
 
 
 def _panel_table(B: np.ndarray, delta: float, n_sub: int):
-    """Kernels of one panel shape: E1 = e^{B delta}, E2 = E1^2, E1^{-1},
-    the stacked powers E2^1..E2^h (h = n_sub / 2) and the lower-triangular
-    block-Toeplitz matrix of E2^(q - r), q >= r."""
+    """Kernels of one panel shape, transposed to act on rows: E1 = e^{B delta},
+    E2 = E1^2 and E1^{-1}; E2^h (h = n_sub / 2), untransposed; the powers
+    E2^1..E2^(h-1) side by side; and the lower-triangular block-Toeplitz
+    matrix of E2^(q - r), q >= r."""
     import scipy.linalg as sla  # deferred: most of epcag's import time
     d, h = B.shape[0], n_sub // 2
     E1 = sla.expm(B * delta)
@@ -138,85 +154,115 @@ def _panel_table(B: np.ndarray, delta: float, n_sub: int):
         powers.append(powers[-1] @ E2)
     lag = np.subtract.outer(np.arange(h), np.arange(h))
     T = np.stack(powers[:h])[np.maximum(lag, 0)] * (lag >= 0)[:, :, None, None]
-    return (delta, E1.T, E2.T, E1inv.T, np.vstack(powers[1:]),
-            T.transpose(0, 2, 1, 3).reshape(h * d, h * d))
+    return (delta, E1.T, E2.T, E1inv.T, powers[h], np.vstack(powers[:h])[d:].T,
+            T.transpose(0, 2, 1, 3).reshape(h * d, h * d).T)
 
 
 def _sweep_tables(B: np.ndarray, grid: _PanelGrid, backward: bool = False):
-    """Sweep kernels of ``B`` on ``grid``, one table per distinct panel
-    shape (delta, n_sub): ``(N, d, [(first node, table) per panel])`` in
-    the order the sweep visits the panels.  With ``backward`` the panels are
-    those of the mirrored-time recursion on -B (see :func:`_sweep`)."""
+    """Sweep kernels of ``B`` on ``grid``: ``(N, d, ends, steps, groups)``.
+
+    The panels are taken in the order the sweep visits them; with
+    ``backward`` they are those of the mirrored-time recursion on -B (see
+    :func:`_sweep`), their samples those of the reversed sample array.
+    ``ends`` holds the node where each panel starts, then the last node;
+    ``steps`` the propagator E2^h over each panel.  ``groups`` has one entry
+    per distinct panel shape (delta, n_sub): its kernel table, the sweep
+    positions of its panels, and per panel the sample indices, the interior
+    even nodes and the odd nodes.
+    """
     d = B.shape[0]
-    spans = [(p.start, p.n_sub, p.delta) for p in grid.panels]
+    spans = [(p.start, p.n_sub, p.delta, off)
+             for p, off in zip(grid.panels, grid.offsets)]
     if backward:
-        last = len(grid) - 1
+        last, count = len(grid) - 1, grid.offsets[-1]
         B = -B
-        spans = [(last - start - n_sub, n_sub, dl)
-                 for start, n_sub, dl in reversed(spans)]
+        spans = [(last - start - n_sub, n_sub, dl, count - off - n_sub - 1)
+                 for start, n_sub, dl, off in reversed(spans)]
+    ends = np.array([start for start, *_ in spans] + [len(grid) - 1])
+    if d == 0:  # nothing to propagate
+        return len(grid), d, ends, [], []
     shapes: dict = {}
-    panels = []
-    for base, n_sub, dl in spans:
-        key = (round(dl, 15), n_sub)
-        if d and key not in shapes:
-            shapes[key] = _panel_table(B, dl, n_sub)
-        panels.append((base, shapes.get(key)))
-    return len(grid), d, panels
+    for pos, (_, n_sub, dl, _) in enumerate(spans):
+        shapes.setdefault((round(dl, 15), n_sub), []).append(pos)
+    offs = np.array([off for *_, off in spans])
+    groups, steps = [], [None] * len(spans)
+    for (_, n_sub), where in shapes.items():
+        table = _panel_table(B, spans[where[0]][2], n_sub)
+        E2h = table[4]
+        for pos in where:
+            steps[pos] = E2h
+        where = np.array(where)
+        q = np.arange(n_sub + 1)
+        start = ends[where][:, None]
+        groups.append((table, where, offs[where][:, None] + q,
+                       start + q[2:-1:2], start + q[1::2]))
+    return len(grid), d, ends, steps, groups
 
 
 def _sweep(tables, gvals, x0, backward: bool = False):
     """X(t_j) = e^{B(t_j - t_0)} x0 + cumulative integral of
     e^{B(t_j - s)} g(s) ds from t_0, fourth order, with the kernels of
-    ``tables`` (:func:`_sweep_tables` of B on the grid).
+    ``tables`` (:func:`_sweep_tables` of B on the grid) and the samples
+    ``gvals`` of g in the grid's sample order (``_PanelGrid.rows``).
 
     Each panel of 2h sub-steps is one composite Simpson rule weighted by the
     kernel: with c_r = (delta/3)(E2 g_2r + 4 E1 g_2r+1 + g_2r+2), its even
-    nodes are x_2r = E2^r x_0 + sum_{s<r} E2^(r-1-s) c_s, one product with
-    the stacked powers and one with their block-Toeplitz matrix, and its
-    odd nodes follow from the even node before them.
+    nodes are x_2r = E2^r x_0 + sum_{s<r} E2^(r-1-s) c_s, and its odd nodes
+    follow from the even node before them.  All panels of one shape are done
+    together: first their c and sums, then the panel ends one after another
+    (x_2h = E2^h x_0 + the last sum, a d-by-d step per panel), then their
+    other even nodes and their odd nodes.
 
     With ``backward`` the start value ``x0`` is X(t_N) and
     X(t_j) = e^{B(t_j - t_N)} x0 - integral over [t_j, t_N]: the same
     recursion in mirrored time s -> -s, run on -B over the reversed panels
     with the samples reversed and negated, its output reversed back.
     """
-    n_nodes, d, panels = tables
+    n_nodes, d, ends, steps, groups = tables
     X = np.zeros((n_nodes, d))
     if d == 0:
         return X
     if backward:
-        gvals = [-g[::-1] for g in reversed(gvals)]
-    X[0] = x0
-    for (base, (dl, E1t, E2t, E1invt, P, T)), g in zip(panels, gvals):
-        end = base + len(g) - 1
-        g0, g1, g2 = g[:-1:2], g[1::2], g[2::2]
-        c = (dl / 3.0) * (g0 @ E2t + 4.0 * (g1 @ E1t) + g2)
-        X[base + 2:end + 1:2] = (P @ X[base] + T @ c.ravel()).reshape(-1, d)
-        X[base + 1:end:2] = (dl / 12.0) * (
-            5.0 * (g0 @ E1t) + 8.0 * g1 - g2 @ E1invt) + X[base:end - 1:2] @ E1t
+        gvals = -gvals[::-1]
+    sums = np.empty((len(steps), d))    # the last sum of each panel
+    parts = []
+    for (dl, E1t, E2t, E1invt, _, _, Tt), where, samples, _, _ in groups:
+        g = gvals[samples]
+        gE1, gE2, gE1inv = ((g.reshape(-1, d) @ E).reshape(g.shape)
+                            for E in (E1t, E2t, E1invt))
+        c = (dl / 3.0) * (gE2[:, :-1:2] + 4.0 * gE1[:, 1::2] + g[:, 2::2])
+        Tc = c.reshape(len(where), -1) @ Tt
+        sums[where] = Tc[:, -d:]
+        parts.append((Tc[:, :-d], (dl / 12.0) * (
+            5.0 * gE1[:, :-1:2] + 8.0 * g[:, 1::2] - gE1inv[:, 2::2])))
+    x = X[0] = np.asarray(x0, dtype=float)
+    for p, E2h in enumerate(steps):
+        x = X[ends[p + 1]] = E2h @ x + sums[p]
+    for (table, where, _, even, odd), (Tc, odd_part) in zip(groups, parts):
+        E1t, Pt = table[1], table[5]
+        x = X[ends[where]]
+        Xe = X[even] = (x @ Pt + Tc).reshape(even.shape + (d,))
+        prev = np.concatenate([x[:, None], Xe], axis=1)   # even node before
+        X[odd] = odd_part + (prev.reshape(-1, d) @ E1t).reshape(prev.shape)
     return X[::-1] if backward else X
 
 
 def _eval_g_panels(fblock, grid: _PanelGrid, Z: np.ndarray):
-    """Samples of fblock(t_j, Z_j, Z(beta(t_j))) on every panel of ``grid``."""
-    out = []
-    for p in grid.panels:
-        w = Z[p.beta_idx]
-        loc = np.empty((p.n_sub + 1, Z.shape[1]))
-        for q in range(p.n_sub + 1):
-            j = p.start + q
-            loc[q] = fblock(grid.ts[j], Z[j], w)
-        out.append(loc)
-    return out
+    """Samples of fblock(t_j, Z_j, Z(beta(t_j))) in the grid's sample order,
+    from one stacked call."""
+    return fblock(grid.ts[grid.rows], Z[grid.rows], Z[grid.betas])
 
 
-def _block_f(sys: HybridSystem, split: SpectralSplit):
-    """The nonlinearity written in the block coordinates of the split."""
+def _block_f(f, split: SpectralSplit):
+    """The nonlinearity ``f`` written in the block coordinates of the split;
+    the transform acts on the last axis, so one state or stacked rows go
+    through as ``f`` takes them."""
     if split.is_identity_transform:
-        return lambda t, z, w: np.asarray(sys.f(t, z, w), dtype=float)
-    Tm = split.transform
-    Tinv = split.transform_inv
-    return lambda t, z, w: Tm @ np.asarray(sys.f(t, Tinv @ z, Tinv @ w), dtype=float)
+        return lambda t, z, w: np.asarray(f(t, z, w), dtype=float)
+    Tmt = split.transform.T
+    Tinvt = split.transform_inv.T
+    return lambda t, z, w: np.asarray(f(t, z @ Tinvt, w @ Tinvt),
+                                      dtype=float) @ Tmt
 
 
 def _snap_up(sched: ArgumentSchedule, t: float) -> float:
@@ -254,7 +300,7 @@ def _picard(Bp, Bm, g, grid: _PanelGrid, u0, v_end, tol, max_iter, weight=1.0):
     """Successive approximation of the split integral system on ``grid``.
 
     Starting from the zero iterate, each sweep maps the current samples Z to
-    the nonlinearity's panel samples ``g(Z)``, then integrates the first block
+    the nonlinearity's samples ``g(Z)`` (in the grid's sample order), then integrates the first block
     forward from ``u0`` at t_0 and the second block backward from ``v_end``
     at t_N.  Stops when the weighted sup-norm change max_j weight_j |dZ_j|
     drops below ``tol``; raises :class:`DivergenceError` when it stops
@@ -270,8 +316,8 @@ def _picard(Bp, Bm, g, grid: _PanelGrid, u0, v_end, tol, max_iter, weight=1.0):
     deltas: list = []
     for m in range(max_iter):
         gv = g(Z)
-        U = _sweep(fwd, [gi[:, :k] for gi in gv], u0)
-        V = _sweep(bwd, [gi[:, k:] for gi in gv], v_end, backward=True)
+        U = _sweep(fwd, gv[:, :k], u0)
+        V = _sweep(bwd, gv[:, k:], v_end, backward=True)
         Znew = np.hstack([U, V])
         delta = float(np.max(weight * np.linalg.norm(Znew - Z, axis=1)))
         Z = Znew
@@ -314,7 +360,7 @@ def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
             "iteration is not guaranteed to contract")
     if horizon is None:
         horizon = default_stable_horizon(split, max(tol, 1e-12))
-    fblock = _block_f(sys, split)
+    fblock = _block_f(sys.f_stacked, split)
     k = split.k
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.shape != (k,):
@@ -380,7 +426,7 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
     if horizon is None:
         horizon = math.log(K_bar / max(tol, 1e-12)) / split.sigma
 
-    fblock = _block_f(sys, split)
+    fblock = _block_f(sys.f_stacked, split)
     grid = _PanelGrid(sched, _snap_down(sched, zeta - horizon), zeta, quad_step)
     Z, deltas = _picard(split.B_plus, split.B_minus,
                         lambda Z: _eval_g_panels(fblock, grid, Z), grid,

@@ -99,7 +99,7 @@ def build_reduced(sys: HybridSystem, sched: ArgumentSchedule,
     if nm == 0:
         raise DegenerateDimensionError(
             "every direction decays (k = n); there is nothing to reduce")
-    fblock = _block_f(sys, split)
+    fblock = _block_f(sys.f, split)  # one point at a time, like the lookups
 
     def f_red(t, v, vbar):
         tb = sched.beta(t)
@@ -180,7 +180,7 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
         raise SmallnessError(
             f"pKl(1 + Pl) = {p * K * l * (1 + P * l):.4g} > 1")
 
-    fblock = _block_f(sys, split)
+    fblock = _block_f(sys.f_stacked, split)
     t_traj_end = _snap_up(
         sched, zeta + default_stable_horizon(split, picard_tol))
     grid = _PanelGrid(sched, zeta, t_traj_end, quad_step)
@@ -194,12 +194,11 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
         mu0 = split.from_block(np.concatenate([G_d, d]))
         mu_traj = solve_forward(sys, sched, zeta, mu0, t_traj_end, step, 1e-10)
         # the system translated by the companion: g(Z) = f(MU + Z) - f(MU)
-        MU = np.array([split.to_block(mu_traj.eval(t)) for t in grid.ts])
+        MU = split.to_block(mu_traj.eval(grid.ts))
         f_mu = _eval_g_panels(fblock, grid, MU)
         Z, _ = _picard(
             split.B_plus, split.B_minus,
-            lambda Z: [a - b for a, b in
-                       zip(_eval_g_panels(fblock, grid, Z + MU), f_mu)],
+            lambda Z: _eval_g_panels(fblock, grid, Z + MU) - f_mu,
             grid, u0 - G_d, np.zeros(len(v0)), picard_tol, 60)
         d_next = v0 - Z[0, k:]
         if float(np.linalg.norm(d_next - v0)) > r0 * (1 + 1e-8) + 1e-12:

@@ -10,6 +10,12 @@ When zeta_i lies ahead of the data point, w is implicit and is resolved by a
 fixed-point iteration on the single vector w (``solve_anchor``).  Forward and
 backward continuation then march interval by interval.
 
+The nonlinearity ``f(t, z, w)`` is called with one state at a time by the
+solver, and with stacked states (``t`` of shape ``(m,)``, ``z`` and ``w`` of
+shape ``(m, n)``, one row per point, returning ``(m, n)``) by the graph maps.
+A callable that only takes one state at a time is detected when the system
+is built and wrapped once into a loop over rows (``HybridSystem.f_stacked``).
+
 A run is single threaded and owns its trajectory; distinct runs over shared
 (immutable) systems and schedules may proceed concurrently as long as the
 nonlinearity is a pure function of its arguments.
@@ -43,6 +49,13 @@ __all__ = [
 _DELTA_EXPLOSION = 1e8
 
 
+def _row_loop(f):
+    """Stacked form of a nonlinearity that takes one state at a time."""
+    def rows(t, z, w):
+        return np.array([f(*point) for point in zip(t, z, w)], dtype=float)
+    return rows
+
+
 @dataclass(frozen=True)
 class HybridSystem:
     """Linear part, nonlinearity and its declared Lipschitz constant.
@@ -52,6 +65,10 @@ class HybridSystem:
     origin and that sampled difference quotients stay below ``lipschitz_l``
     on probes of radius ``probe_radius`` (the declared constant may be local
     to that ball).
+
+    ``f_stacked`` is f on stacked states, one row per point: f itself when a
+    stacked call on the probe samples returns exactly the per-row values,
+    otherwise a loop over rows of f.
     """
 
     A: np.ndarray
@@ -71,9 +88,11 @@ class HybridSystem:
             raise SystemValidationError("A must be finite")
         if self.lipschitz_l < 0:
             raise SystemValidationError("lipschitz_l must be nonnegative")
-        self._spot_check()
+        samples = self._spot_check()
+        object.__setattr__(self, "f_stacked", self.f if self._takes_stacked(
+            samples) else _row_loop(self.f))
 
-    def _spot_check(self):
+    def _spot_check(self) -> list:
         rng = np.random.default_rng(20240817)
         samples = []
         for _ in range(24):
@@ -94,6 +113,21 @@ class HybridSystem:
             raise SystemValidationError(
                 f"sampled Lipschitz ratio {ratio:.4g} exceeds the declared "
                 f"constant {self.lipschitz_l}")
+        return samples
+
+    def _takes_stacked(self, samples) -> bool:
+        """Whether f, called once on the stacked ``(t, z1, w1)`` of the probe
+        samples, returns exactly its per-row values."""
+        t = np.array([s[0] for s in samples])
+        z = np.array([s[1] for s in samples])
+        w = np.array([s[3] for s in samples])
+        try:
+            with np.errstate(all="ignore"):
+                out = np.asarray(self.f(t, z, w), dtype=float)
+        except Exception:  # whatever f raises on rows, it takes one state
+            return False
+        return (out.shape == z.shape
+                and np.array_equal(out, _row_loop(self.f)(t, z, w)))
 
     def probe_f(self, origin_times, samples) -> tuple:
         """Sampled evidence that f vanishes at the origin and is l-Lipschitz.
@@ -164,18 +198,20 @@ class Segment:
             )
         k = int(np.searchsorted(self.ts, t, side="right")) - 1
         k = min(max(k, 0), len(self.ts) - 2)
-        h = self.ts[k + 1] - self.ts[k]
-        s = (t - self.ts[k]) / h
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        return (
-            h00 * self.zs[k]
-            + h10 * h * self.dzs[k]
-            + h01 * self.zs[k + 1]
-            + h11 * h * self.dzs[k + 1]
-        )
+        return _hermite(self.ts, self.zs, self.dzs, k, t)
+
+
+def _hermite(ts, zs, dzs, k, t):
+    """Cubic Hermite interpolant between nodes k and k + 1 at t; ``k`` and
+    ``t`` are scalars or equal-length arrays (one output row each).  The
+    basis is built from products only, so an entry of an array call is
+    bitwise the scalar call."""
+    h = np.asarray(ts[k + 1] - ts[k])[..., None]
+    s = np.asarray(t - ts[k])[..., None] / h
+    s2 = s * s
+    s3 = s2 * s
+    return ((2 * s3 - 3 * s2 + 1) * zs[k] + (s3 - 2 * s2 + s) * h * dzs[k]
+            + (-2 * s3 + 3 * s2) * zs[k + 1] + (s3 - s2) * h * dzs[k + 1])
 
 
 @dataclass
@@ -198,14 +234,36 @@ class Trajectory:
     diagnostics: list = field(default_factory=list)
     nonuniqueness_warning: bool = False
 
+    def __post_init__(self):
+        # the segments ascend in time; segment i reaches up to _reach[i]
+        self._reach = np.array([seg.t_right for seg in self.segments]) + 1e-12
+
     def segment_for(self, t: float) -> Segment:
-        for seg in self.segments:
-            if seg.t_left - 1e-12 <= t <= seg.t_right + 1e-12:
-                return seg
+        """The first segment whose span, widened by 1e-12, holds t: at a
+        breakpoint the one on the left.  Found by bisection."""
+        i = int(np.searchsorted(self._reach, t))
+        if i < len(self.segments) and self.segments[i].t_left - 1e-12 <= t:
+            return self.segments[i]
         raise ValueError(f"t={t} outside trajectory span {self.t_span}")
 
-    def eval(self, t: float) -> np.ndarray:
-        return self.segment_for(t).eval(t)
+    def eval(self, t) -> np.ndarray:
+        """State at time t, or one row per entry of an array of times, each
+        read from the segment :meth:`segment_for` picks, in one pass."""
+        if np.ndim(t) == 0:
+            return self.segment_for(t).eval(t)
+        t = np.asarray(t, dtype=float)
+        segs = self.segments
+        i = np.minimum(np.searchsorted(self._reach, t), len(segs) - 1)
+        lefts = np.array([seg.t_left for seg in segs])
+        if not np.all((lefts[i] - 1e-12 <= t) & (t <= self._reach[i])):
+            raise ValueError(f"times outside trajectory span {self.t_span}")
+        sizes = np.array([len(seg.ts) for seg in segs])
+        first = np.cumsum(sizes) - sizes
+        ts = np.concatenate([seg.ts for seg in segs])
+        k = np.searchsorted(ts, t, side="right") - 1
+        k = np.clip(k, first[i], first[i] + sizes[i] - 2)
+        return _hermite(ts, np.concatenate([seg.zs for seg in segs]),
+                        np.concatenate([seg.dzs for seg in segs]), k, t)
 
     @property
     def t0(self) -> float:
@@ -251,7 +309,7 @@ def _rk4_path(sys: HybridSystem, ts: np.ndarray, z0: np.ndarray, w: np.ndarray,
             k3 = sys.rhs(t + h / 2, z + (h / 2) * k2, w)
             k4 = sys.rhs(t + h, z + h * k3, w)
             znext = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(znext)):
+            if not np.isfinite(znext).all():
                 raise BlowUpError(float(t), interval=interval)
             zs[j + 1] = znext
             dzs[j + 1] = sys.rhs(ts[j + 1], znext, w)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from epcag import errors
 from epcag.cli import main
 from epcag.errors import ConfigError
 from epcag.harness import (
+    _CATALOG,
     ExperimentConfig,
     build_system,
     catalog_list,
@@ -57,6 +59,57 @@ class TestCatalog:
         with pytest.raises(ConfigError):
             build_system({"matrix": [[-1.0]],
                           "nonlinearity": {"name": "nope"}})
+
+
+# Each catalog entry's one-point formula before entries took stacked states.
+PARENT_FORMULAS = {
+    "zero": lambda p, t, z, w: np.zeros(len(z)),
+    "example1-quadratic": lambda p, t, z, w: np.array([-w[0] ** 2]),
+    "epca-linear": lambda p, t, z, w: p["b"] * np.asarray(w, dtype=float),
+    "tanh-coupled": lambda p, t, z, w: np.array([0.0,
+                                                 p["amp"] * math.tanh(w[0])]),
+    "center-cubic": lambda p, t, z, w: np.array([
+        p["eps"] * (w[1] ** 2 / (1.0 + w[1] ** 2)),
+        p["sign"] * p["a"] * (z[1] ** 3 / (1.0 + z[1] ** 2))]),
+}
+CATALOG_CASES = {  # name: (params, dim)
+    "zero": ({}, 3),
+    "example1-quadratic": ({"radius": 15.0}, 1),
+    "epca-linear": ({"b": -0.3}, 2),
+    "tanh-coupled": ({"amp": 0.2}, 2),
+    "center-cubic": ({"a": 0.012, "eps": 0.02, "sign": -1.0}, 2),
+}
+
+
+class TestCatalogStackedContract:
+    def test_every_entry_has_a_case(self):
+        assert set(CATALOG_CASES) == set(_CATALOG) == set(PARENT_FORMULAS)
+
+    @given(name=st.sampled_from(sorted(CATALOG_CASES)), m=st.integers(1, 40),
+           scale=st.floats(1e-3, 20.0), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_call_is_the_per_row_calls(self, name, m, scale, seed):
+        params, dim = CATALOG_CASES[name]
+        f, _ = _CATALOG[name]["factory"](params, dim)
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(-5.0, 5.0, size=m)
+        z, w = scale * rng.normal(size=(2, m, dim))
+        rows = [f(*point) for point in zip(t, z, w)]
+        stacked = f(t, z, w)
+        assert stacked.shape == (m, dim)
+        assert np.array(rows).tobytes() == np.ascontiguousarray(stacked).tobytes()
+        # one point: the old formula up to rounding (products replace
+        # powers, np.tanh replaces math.tanh)
+        for point, got in zip(zip(t, z, w), rows):
+            old = PARENT_FORMULAS[name](params, *point)
+            assert got.shape == old.shape == (dim,)
+            assert np.all(np.abs(got - old) <= 4 * np.spacing(np.abs(old)))
+
+    def test_catalog_systems_keep_their_f_stacked(self):
+        for name, (params, dim) in CATALOG_CASES.items():
+            sys = build_system({"matrix": (-np.eye(dim)).tolist(),
+                                "nonlinearity": {"name": name,
+                                                 "params": params}})
+            assert sys.f_stacked is sys.f, name
 
 
 class TestScheduleRoundTrip:

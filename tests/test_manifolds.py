@@ -552,9 +552,7 @@ class TestQuadratureSweeps:
         errs = []
         for h in (0.1, 0.05):
             grid = _PanelGrid(epca_sched, 0.0, 6.0, h)
-            gv = [np.array([[g(grid.ts[p.start + q])]
-                            for q in range(p.n_sub + 1)])
-                  for p in grid.panels]
+            gv = np.array([[g(t)] for t in grid.ts[grid.rows]])
             X = _sweep(_sweep_tables(B, grid), gv, x0)
             errs.append(abs(X[-1, 0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
@@ -569,9 +567,7 @@ class TestQuadratureSweeps:
         errs = []
         for h in (0.1, 0.05):
             grid = _PanelGrid(epca_sched, 0.0, 6.0, h)
-            gv = [np.array([[g(grid.ts[p.start + q])]
-                            for q in range(p.n_sub + 1)])
-                  for p in grid.panels]
+            gv = np.array([[g(t)] for t in grid.ts[grid.rows]])
             X = _sweep(_sweep_tables(B, grid, backward=True), gv, xT,
                        backward=True)
             errs.append(abs(X[0, 0] - exact))
@@ -601,9 +597,9 @@ class TestQuadratureSweeps:
         gv = [np.array([g(grid.ts[p.start + q]) for q in range(p.n_sub + 1)])
               for p in grid.panels]
         x = np.array([0.7, -0.4])
-        fwd = _sweep(_sweep_tables(B, grid), gv, x)
-        bwd = _sweep(_sweep_tables(B, grid, backward=True), gv, x,
-                     backward=True)
+        fwd = _sweep(_sweep_tables(B, grid), np.concatenate(gv), x)
+        bwd = _sweep(_sweep_tables(B, grid, backward=True), np.concatenate(gv),
+                     x, backward=True)
         for new, old in ((fwd, forward_sweep(B, grid, gv, x)),
                          (bwd, backward_sweep(B, grid, gv, x))):
             assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
@@ -645,7 +641,7 @@ class TestQuadratureSweeps:
         monkeypatch.setattr(scipy.linalg, "expm", None)  # no kernel is built
         grid = _PanelGrid(epca_sched, 0.0, 3.0, 0.1)
         tables = _sweep_tables(np.zeros((0, 0)), grid, backward=backward)
-        gv = [np.zeros((p.n_sub + 1, 0)) for p in grid.panels]
+        gv = np.zeros((grid.offsets[-1], 0))
         X = _sweep(tables, gv, np.zeros(0), backward=backward)
         assert X.shape == (len(grid), 0)
 
@@ -716,30 +712,107 @@ class TestCenterEvaluatorAdvancedAnchors:
         assert got == pytest.approx(exact_G_vfed(amp, 0.8), abs=2e-4)
 
 
+class TestStackedNonlinearity:
+    """The graph maps sample the nonlinearity in one stacked call per sweep;
+    a nonlinearity that takes one state at a time runs through a row loop
+    and gives the same values."""
+
+    A_CASES = [[[-1.0, 0.0], [0.0, 0.0]], [[-1.0, 0.3], [0.0, 0.0]]]
+
+    COEF = 0.006
+    L = 2.25 * COEF
+
+    @staticmethod
+    def twins(a=COEF):
+        """damped_cubic(fed=True) with a linear feed in place of tanh, once
+        per point and once stacked, in the same floating-point operations."""
+        def scalar_only(t, z, w):
+            return [a * (w[1] * w[1] / (1 + w[1] * w[1])),
+                    -a * (z[1] * z[1] * z[1] / (1 + z[1] * z[1])) + a * w[0]]
+
+        def vectorized(t, z, w):
+            w0, w1, z1 = w.T[0], w.T[1], z.T[1]
+            return np.array([a * (w1 * w1 / (1 + w1 * w1)),
+                             -a * (z1 * z1 * z1 / (1 + z1 * z1)) + a * w0]).T
+
+        return scalar_only, vectorized
+
+    @pytest.mark.parametrize("A", A_CASES)
+    def test_scalar_only_f_matches_its_vectorized_twin(self, A):
+        sched = SCHEDULES["alternating"]()
+        systems = [HybridSystem(np.array(A), f, self.L, 2)
+                   for f in self.twins()]
+        assert systems[0].f_stacked is not systems[0].f
+        assert systems[1].f_stacked is systems[1].f
+        split = spectral_split(systems[0].A)
+        bundle = compute_constants(systems[0].A, split, sched, self.L)
+        zeta = sched.zeta(sched.i_min + len(sched.zetas) - 4)
+        G = [eval_G(sys, sched, split, bundle, zeta, [0.9], horizon=20.0,
+                    tol=1e-10, quad_step=0.1) for sys in systems]
+        F = [eval_F(sys, sched, split, bundle, sched.zeta(sched.i_min + 2),
+                    [0.5], horizon=20.0, tol=1e-10, quad_step=0.1)
+             for sys in systems]
+        for scalar, vector in (G, F):
+            assert np.max(np.abs(vector.value)) > 1e-4
+            assert np.array_equal(scalar.value, vector.value)
+            assert np.array_equal(scalar.zs, vector.zs)
+            assert scalar.deltas == vector.deltas
+
+    @pytest.mark.parametrize("A", A_CASES)
+    def test_one_call_per_sweep(self, A):
+        calls = []
+        _, vectorized = self.twins()
+
+        def counted(t, z, w):
+            calls.append(z.shape)
+            return vectorized(t, z, w)
+
+        sys = HybridSystem(np.array(A), counted, self.L, 2)
+        sched = SCHEDULES["randomized"]()
+        split = spectral_split(sys.A)
+        bundle = compute_constants(sys.A, split, sched, sys.lipschitz_l)
+        zeta = sched.zeta(sched.i_min + len(sched.zetas) - 4)
+        for tol in (1e-4, 1e-10):
+            calls.clear()
+            res = eval_G(sys, sched, split, bundle, zeta, [0.9], horizon=20.0,
+                         tol=tol, quad_step=0.1)
+            grid = _PanelGrid(sched, _snap_down(sched, zeta - 20.0), zeta, 0.1)
+            assert calls == [(grid.offsets[-1], 2)] * len(res.deltas)
+        calls.clear()
+        res = eval_F(sys, sched, split, bundle, sched.zeta(sched.i_min + 2),
+                     [0.5], horizon=20.0, tol=1e-10, quad_step=0.1)
+        assert len(calls) == len(res.deltas) >= 3
+
+    def test_panel_samples_follow_the_grid(self):
+        sched = SCHEDULES["alternating"]()
+        grid = _PanelGrid(sched, -6.0, 4.5, 0.1)
+        assert grid.offsets[-1] == len(grid.rows) == len(grid.betas)
+        for p, lo, hi in zip(grid.panels, grid.offsets, grid.offsets[1:]):
+            assert list(grid.rows[lo:hi]) == list(range(p.start,
+                                                        p.start + p.n_sub + 1))
+            assert set(grid.betas[lo:hi]) == {p.beta_idx}
+            assert grid.ts[p.beta_idx] == pytest.approx(p.t_beta, abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # the unshifted iteration against the shifted one it replaced
 # ---------------------------------------------------------------------------
 
 def parent_picard(Bp, Bm, gfun, grid, u0, v_end, tol, max_iter):
-    """The successive approximation with a per-node nonlinearity
-    gfun(t, z, w, t_beta) and the plain sup-norm delta."""
+    """The successive approximation with the plain sup-norm delta and the
+    nonlinearity gfun(t, z, w, t_beta) on stacked per-node arguments,
+    gathered panel by panel and node by node."""
     k = Bp.shape[0]
-    n = k + Bm.shape[0]
-    Z = np.zeros((len(grid), n))
+    Z = np.zeros((len(grid), k + Bm.shape[0]))
     fwd = _sweep_tables(Bp, grid)
     bwd = _sweep_tables(Bm, grid, backward=True)
     deltas = []
     for _ in range(max_iter):
-        g = []
-        for p in grid.panels:
-            w = Z[p.beta_idx]
-            loc = np.empty((p.n_sub + 1, n))
-            for q in range(p.n_sub + 1):
-                j = p.start + q
-                loc[q] = gfun(grid.ts[j], Z[j], w, p.t_beta)
-            g.append(loc)
-        U = _sweep(fwd, [gi[:, :k] for gi in g], u0)
-        V = _sweep(bwd, [gi[:, k:] for gi in g], v_end, backward=True)
+        args = [(grid.ts[p.start + q], Z[p.start + q], Z[p.beta_idx], p.t_beta)
+                for p in grid.panels for q in range(p.n_sub + 1)]
+        g = gfun(*map(np.array, zip(*args)))
+        U = _sweep(fwd, g[:, :k], u0)
+        V = _sweep(bwd, g[:, k:], v_end, backward=True)
         Znew = np.hstack([U, V])
         deltas.append(float(np.max(np.linalg.norm(Znew - Z, axis=1))))
         Z = Znew
@@ -752,12 +825,12 @@ def shifted_eval_G(sys, sched, split, zeta, d, horizon, tol, quad_step):
     """G(zeta, d) from the iteration on eta = z e^{kappa t}, kappa = sigma/2."""
     kappa = split.sigma / 2.0
     k, nm = split.k, split.B_minus.shape[0]
-    fblock = _block_f(sys, split)
+    fblock = _block_f(sys.f_stacked, split)
 
     def gblock(t, eta, eta_b, t_beta):
-        ekt = math.exp(-kappa * t)
-        ekb = math.exp(-kappa * t_beta)
-        return math.exp(kappa * t) * fblock(t, eta * ekt, eta_b * ekb)
+        ekt = np.exp(-kappa * t)[:, None]
+        ekb = np.exp(-kappa * t_beta)[:, None]
+        return np.exp(kappa * t)[:, None] * fblock(t, eta * ekt, eta_b * ekb)
 
     grid = _PanelGrid(sched, _snap_down(sched, zeta - horizon), zeta, quad_step)
     Z, deltas = parent_picard(split.B_plus + kappa * np.eye(k),
@@ -840,11 +913,11 @@ class TestUnshiftedIteration:
                                    split.from_block([0.4, 0.3]), tol=1e-7,
                                    quad_step=0.1)
         assert len(runs) >= 2
-        fblock = _block_f(sys, split)
+        fblock = _block_f(sys.f_stacked, split)
         for mu_traj, (Bp, Bm, _, grid, u0, v_end, tol, max_iter), Z in runs:
             def q(t, Zb, Wb, t_beta):
-                mt = split.to_block(mu_traj.eval(t))
-                mb = split.to_block(mu_traj.eval(t_beta))
+                mt, mb = (split.to_block([mu_traj.eval(s) for s in ss])
+                          for ss in (t, t_beta))
                 return fblock(t, Zb + mt, Wb + mb) - fblock(t, mt, mb)
 
             old, _ = parent_picard(Bp, Bm, q, grid, u0, v_end, tol, max_iter)

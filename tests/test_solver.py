@@ -65,6 +65,40 @@ class TestHybridSystemValidation:
                          lambda t, z, w: np.zeros(3), 0.0, 2)
 
 
+class TestStackedContract:
+    """f_stacked: f itself when f takes stacked rows, otherwise one loop over
+    rows of f, decided once at construction."""
+
+    Z = np.array([[0.3, -0.2], [0.1, 0.4], [-0.5, 0.05]])
+    W = np.array([[0.2, 0.1], [-0.3, 0.6], [0.4, -0.1]])
+    T = np.array([0.0, 0.5, 1.0])
+
+    def rows(self, f):
+        return np.array([f(*point) for point in zip(self.T, self.Z, self.W)],
+                        dtype=float)
+
+    def test_vectorized_f_is_kept(self):
+        def f(t, z, w):
+            return 0.2 * np.tanh(w) - 0.1 * z * z
+
+        sys = HybridSystem(-np.eye(2), f, 0.5, 2)
+        assert sys.f_stacked is f
+
+    @pytest.mark.parametrize("f", [
+        # indexes components and returns a list: fails on stacked input
+        lambda t, z, w: [0.2 * math.tanh(w[1]), -0.1 * z[0] * z[0]],
+        # right shape on stacked input but other values: the mean runs over
+        # every row instead of one point's components
+        lambda t, z, w: 0.1 * np.tanh(w * np.mean(w)),
+        # a scalar-only use of t
+        lambda t, z, w: 0.2 * w * math.cos(t),
+    ], ids=["indexing", "mixes-rows", "scalar-time"])
+    def test_scalar_only_f_is_wrapped_into_a_row_loop(self, f):
+        sys = HybridSystem(-np.eye(2), f, 0.5, 2)
+        assert sys.f_stacked is not f
+        assert same_bits(sys.f_stacked(self.T, self.Z, self.W), self.rows(f))
+
+
 class TestIntegrateInterval:
     def test_linear_homogeneous(self):
         sys = HybridSystem(np.array([[-1.0]]), lambda t, z, w: np.zeros(1), 0.0, 1)
@@ -413,6 +447,72 @@ class TestSolveBackward:
         back = solve_backward(tanh_system, sched, 4.0, fwd.eval(4.0), 1.0,
                               0.02, tol)
         assert np.linalg.norm(back.eval(1.0) - z0) <= 10 * tol + 1e-8
+
+
+class TestTrajectoryLookup:
+    """Bisection in segment_for, against the linear scan it replaced, and
+    the one-pass array evaluation against the pointwise one."""
+
+    @staticmethod
+    def scan(traj, t):  # the linear scan: the first segment holding t wins
+        for seg in traj.segments:
+            if seg.t_left - 1e-12 <= t <= seg.t_right + 1e-12:
+                return seg
+        raise ValueError(t)
+
+    @pytest.fixture(scope="class")
+    def backward(self, tanh_system):
+        sched = make_schedule("randomized", window=(0, 12), theta_bound=1.2,
+                              seed=4, t_start=0.0)
+        t_end = float(sched.thetas[-2])
+        traj = solve_backward(tanh_system, sched, t_end, np.array([0.6, -0.3]),
+                              float(sched.thetas[1]) + 0.3, 0.05, 1e-10)
+        return traj
+
+    def test_left_segment_wins_at_every_breakpoint(self, backward):
+        segs = backward.segments
+        assert len(segs) >= 8
+        assert [s.index for s in segs] == sorted(s.index for s in segs)
+        for left, right in zip(segs, segs[1:]):
+            th = left.t_right
+            assert right.t_left == th
+            for t in (th, th - 5e-13, th + 5e-13):
+                assert backward.segment_for(t) is left
+            assert backward.segment_for(th + 2e-12) is right
+        assert backward.segment_for(segs[0].t_left - 5e-13) is segs[0]
+        assert backward.segment_for(segs[-1].t_right + 5e-13) is segs[-1]
+        for t in (segs[0].t_left - 2e-12, segs[-1].t_right + 2e-12, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                backward.segment_for(t)
+
+    def test_bisection_matches_the_scan(self, backward):
+        segs = backward.segments
+        ts = np.concatenate([np.linspace(segs[0].t_left, segs[-1].t_right, 301)]
+                            + [s.ts for s in segs])
+        for t in ts:
+            assert backward.segment_for(t) is self.scan(backward, t)
+
+    def test_array_eval_is_the_pointwise_eval(self, backward):
+        segs = backward.segments
+        ts = np.concatenate([np.linspace(segs[0].t_left - 5e-13,
+                                         segs[-1].t_right + 5e-13, 401)]
+                            + [[s.t_left, s.t_right] for s in segs])
+        got = backward.eval(ts)
+        assert got.shape == (len(ts), 2)
+        assert same_bits(got, np.array([backward.eval(t) for t in ts]))
+        with pytest.raises(ValueError, match="outside"):
+            backward.eval(np.array([segs[0].t_left, segs[-1].t_right + 1e-9]))
+
+    def test_blowup_time_and_interval(self):
+        # z' = z^3 / 2 from z(0) = 1 blows up at t = 1; RK4 with step 0.1
+        # stays finite up to the node 1.1 of interval 1
+        sys = HybridSystem(np.array([[0.0]]),
+                           lambda t, z, w: np.array([0.5 * z[0] ** 3]), 1.5, 1)
+        sched = make_schedule("epca", window=(0, 30))
+        with pytest.raises(BlowUpError) as ei:
+            solve_forward(sys, sched, 0.0, np.array([1.0]), 29.0, 0.1, 1e-10)
+        assert ei.value.interval == 1
+        assert ei.value.last_finite_time == pytest.approx(1.1, abs=1e-12)
 
 
 class TestExport:
