@@ -597,7 +597,10 @@ class CenterEvaluator:
                 "fewer than two admissible time nodes; on schedules with "
                 "advanced anchors use the native anchor times, and the "
                 "schedule must extend one horizon before them")
-        self._cache: dict = {}
+        self._table: dict = {}  # time node index -> cells (nan: unfilled)
+        self._bits = np.array(list(itertools.product((0, 1), repeat=nm)))
+        self._lo_edge, self._hi_edge = self.lo - 1e-12, self.hi + 1e-12
+        self._spacing = (self.hi - self.lo) / (self.resolution - 1)
         self._P: float | None = None
 
     def _anchor_ok(self, t: float) -> bool:
@@ -614,45 +617,84 @@ class CenterEvaluator:
         return res.value
 
     # -- cached interpolation ----------------------------------------------
-    def at(self, t: float, v) -> np.ndarray:
+    def at(self, t, v) -> np.ndarray:
         """Interpolated graph value; raises BoxExceededError outside the box.
 
-        One multilinear interpolation with time as its first axis: a cell
-        (time index, coordinate indices...) has 2^(1 + nm) corners, cached
-        under that flat tuple.  Corners of zero weight are neither read nor
+        One point (``v`` of length nm) or stacked rows (``v`` of shape
+        ``(m, nm)`` with ``t`` a scalar or one time per row, one output row
+        each).  One multilinear interpolation with time as its first axis: a
+        cell (time index, coordinate indices...) has 2^(1 + nm) corners,
+        read from a dense table per time node that is allocated when the
+        node is first touched.  Corners of zero weight are neither read nor
         filled, so a query on a grid node returns the cached value exactly.
+        Rows that share a time share its time cell; each row sums its
+        corners in the same order and with the same operations as a
+        one-point call, so it is bitwise that call.
         """
-        v = np.atleast_1d(np.asarray(v, dtype=float))
+        V = np.asarray(v, dtype=float)
+        if V.ndim < 2:  # one point is a stack of one row
+            return self.at(t, V.reshape(1, -1))[0]
+        if np.ndim(t):
+            t = np.asarray(t, dtype=float)
+            if not np.all(t == t[0]):
+                out = np.empty((len(V), self.split.k))
+                for tu in np.unique(t):
+                    out[t == tu] = self.at(float(tu), V[t == tu])
+                return out
+            t = t[0]
         t = float(t)
         if self.time_period is not None:
             t = self.t_ref + ((t - self.t_ref) % self.time_period)
         nodes = self.time_nodes
-        j = int(np.searchsorted(nodes, t, side="right")) - 1
+        j = int(nodes.searchsorted(t, side="right")) - 1
         j = min(max(j, 0), len(nodes) - 2)
         t0, t1 = nodes[j:j + 2].tolist()
         lam = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
-        axes = [((j, 1.0 - lam), (j + 1, lam))]
-        n = self.resolution - 1
-        for x, lo, hi in zip(v.tolist(), self.lo.tolist(), self.hi.tolist()):
-            if not lo - 1e-12 <= x <= hi + 1e-12:
-                raise BoxExceededError(f"coordinates {v} outside the cached "
-                                       f"box [{self.lo}, {self.hi}]")
-            pos = (x - lo) / ((hi - lo) / n)
-            base = min(max(math.floor(pos), 0), n - 1)
-            frac = pos - base
-            axes.append(((base, 1.0 - frac), (base + 1, frac)))
-        out = 0.0
-        for corner in itertools.product(*[[c for c in ax if c[1] > 0]
-                                          for ax in axes]):
-            key, weights = zip(*corner)
-            val = self._cache.get(key)
-            if val is None:
-                d = self.lo + np.asarray(key[1:], dtype=float) * (
-                    self.hi - self.lo) / n
-                val = self._cache[key] = self.point(
-                    float(self.time_nodes[key[0]]), d)
-            out = out + math.prod(weights) * val
+        inside = (self._lo_edge <= V) & (V <= self._hi_edge)
+        if not inside.all():
+            raise BoxExceededError(
+                f"coordinates {V[np.argmin(inside.all(axis=1))]} outside the "
+                f"cached box [{self.lo}, {self.hi}]")
+        pos = (V - self.lo) / self._spacing
+        base = np.minimum(np.maximum(np.floor(pos), 0.0), self.resolution - 2)
+        frac = pos - base
+        # coordinate corners in product order (first coordinate slowest):
+        # per-axis weights (corner, row, axis), whether all are positive,
+        # and the cells (axis, corner, row)
+        bits = self._bits
+        axw = np.where(bits[:, None, :], frac, 1.0 - frac)
+        use = np.logical_and.reduce(axw > 0, axis=2)
+        cells = base.T.astype(int)[:, None, :] + bits.T[:, :, None]
+        out = np.zeros((len(V), self.split.k))
+        for ti, weight in ((j, 1.0 - lam), (j + 1, lam)):
+            if not weight > 0:
+                continue
+            for ax in range(V.shape[1]):
+                weight = weight * axw[..., ax]
+            vals = self._corner_values(ti, cells, use)
+            for term in weight[..., None] * vals:
+                out += term  # an unused corner adds + 0.0: the row stays
         return out
+
+    def _corner_values(self, ti: int, cells: np.ndarray,
+                       use: np.ndarray) -> np.ndarray:
+        """Cached graph values at time node ``ti`` and the coordinate
+        indices ``cells`` (first axis), filling each missing cell where
+        ``use`` holds with one :meth:`point`; 0.0 where ``use`` fails."""
+        table = self._table.get(ti)
+        if table is None:
+            table = self._table[ti] = np.full(
+                (self.resolution,) * len(self.lo) + (self.split.k,), np.nan)
+        vals = table[tuple(cells)]
+        missing = use & np.isnan(vals[..., 0])
+        if missing.any():
+            for cell in np.unique(cells[:, missing].T, axis=0):
+                d = self.lo + cell.astype(float) * (self.hi - self.lo) / (
+                    self.resolution - 1)
+                table[tuple(cell)] = self.point(float(self.time_nodes[ti]), d)
+            vals = table[tuple(cells)]
+        vals[~use] = 0.0
+        return vals
 
     def empirical_P(self, pairs: int = 20, seed: int = 0) -> float:
         """Sampled Lipschitz constant of the graph map divided by l, at the

@@ -4,7 +4,7 @@ and the full-versus-reduced agreement check."""
 
 from __future__ import annotations
 
-import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,24 +90,37 @@ def build_reduced(sys: HybridSystem, sched: ArgumentSchedule,
 
         (t, v, vbar) -> f_minus(t, (G(t, v), v), (G(beta(t), vbar), vbar))
 
-    with G read through the memoized evaluator.  The declared Lipschitz
-    constant l (1 + P l) uses the sampled P inflated by the margin 1.25 so
-    it stays an upper bound under sampling error.
+    with G read through the memoized evaluator.  It takes stacked rows as
+    well as one point, with one lookup per argument for all rows.  The
+    declared Lipschitz constant l (1 + P l) uses the sampled P inflated by
+    the margin 1.25 so it stays an upper bound under sampling error.
     """
     k = split.k
     nm = sys.dim - k
     if nm == 0:
         raise DegenerateDimensionError(
             "every direction decays (k = n); there is nothing to reduce")
-    fblock = _block_f(sys.f, split)  # one point at a time, like the lookups
+    fblock = _block_f(sys.f_stacked, split)
+    anchor: dict = {}  # the latest anchor lookup; it repeats while w is frozen
 
     def f_red(t, v, vbar):
-        tb = sched.beta(t)
-        u = g_eval.at(t, v)
-        ub = g_eval.at(tb, vbar)
-        zb = np.concatenate([u, np.atleast_1d(v)])
-        wb = np.concatenate([ub, np.atleast_1d(vbar)])
-        return fblock(t, zb, wb)[k:]
+        if np.ndim(v) < 2:  # one point is a stack of one row
+            return f_red(np.reshape(t, 1), np.reshape(v, (1, nm)),
+                         np.reshape(vbar, (1, nm)))[0]
+        t, vbar = np.asarray(t, dtype=float), np.asarray(vbar, dtype=float)
+        if np.all(t == t[0]):  # one time cell and one anchor for every row
+            tc, tb = t[0], sched.beta(t[0])
+            key = (tb, vbar.tobytes())
+            if key not in anchor:
+                anchor.clear()
+                anchor[key] = g_eval.at(tb, vbar)
+            ub = anchor[key]
+        else:
+            tc = t
+            ub = g_eval.at(np.array([sched.beta(s) for s in t]), vbar)
+        zb = np.concatenate([g_eval.at(tc, v), v], axis=1)
+        wb = np.concatenate([ub, vbar], axis=1)
+        return fblock(t, zb, wb)[:, k:]
 
     P = g_eval.empirical_P()
     l = sys.lipschitz_l
@@ -221,11 +234,8 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
     ztraj = solve_forward(sys, sched, zeta, np.asarray(z0, dtype=float),
                           t_rep_end, step, 1e-10)
     ts = np.linspace(zeta, t_rep_end, 201)
-    w = np.empty_like(ts)
-    alpha = bundle.alpha
-    for idx, t in enumerate(ts):
-        diff = split.to_block(ztraj.eval(t)) - split.to_block(companion.eval(t))
-        w[idx] = np.linalg.norm(diff) * math.exp(alpha * (t - zeta))
+    diff = split.to_block(ztraj.eval(ts)) - split.to_block(companion.eval(ts))
+    w = np.linalg.norm(diff, axis=1) * np.exp(bundle.alpha * (ts - zeta))
     X0 = u0 - G_d
     bound = K * (1.0 + 2.0 * p * l) * float(np.linalg.norm(X0))
     max_w = float(np.max(w))
@@ -254,6 +264,64 @@ def _directions(n: int, n_random: int, rng) -> list:
         if nv > 1e-12:
             dirs.append(v / nv)
     return dirs
+
+
+def _march_star(sys, sched, t0, horizon, intervals, star, step, tol,
+                max_iter) -> list:
+    """March every ``(radius, direction)`` member of one start time's star
+    as one stacked state.
+
+    Returns per member ``(radius, max_excursion, final_norm, t_reached,
+    escaped, envelope)``, the envelope being the ``(times since t0, norms)``
+    of a member that did not escape.  A member leaves the march when it
+    blows up or its excursion passes ESCAPE_FACTOR radii.  Each row's
+    arithmetic is that of the member marched alone; a
+    :class:`NonContractionError` is raised after the march, the one of the
+    first failing member in star order.
+    """
+    t_end = t0 + horizon
+    z0 = np.array([radius * direction for radius, direction in star])
+    max_exc = [float(np.linalg.norm(z)) for z in z0]
+    final_norm = list(max_exc)
+    t_reached = [0.0] * len(star)
+    escaped = [False] * len(star)
+    env_ts = array("d", [0.0])  # compact: all envelopes are held at once
+    env = [array("d", [n]) for n in max_exc]
+    stalled: dict = {}
+    members = np.arange(len(star))  # the member of each row still marching
+    for res in _march(sys, sched, t0, z0, intervals, step, tol, max_iter):
+        for q, err in zip(members, res.errors):
+            if isinstance(err, BlowUpError):
+                escaped[q] = True
+                max_exc[q] = final_norm[q] = float("inf")
+                t_reached[q] = max(t_reached[q], err.last_finite_time - t0)
+            elif err is not None:
+                stalled[q] = err
+        rows = np.flatnonzero(res.live)
+        if rows.size:
+            seg = res.segment
+            mask = (seg.ts >= t0 - 1e-12) & (seg.ts <= t_end + 1e-12)
+            norms = np.linalg.norm(seg.zs[mask][:, rows], axis=2)
+            env_ts.extend(np.asarray(seg.ts[mask]) - t0)
+        for c, r in enumerate(rows):
+            q = members[r]
+            env[q].extend(norms[:, c])
+            max_exc[q] = max(max_exc[q], float(np.max(norms[:, c])))
+            final_norm[q] = float(norms[-1, c])
+            t_reached[q] = min(sched.theta(seg.index + 1), t_end) - t0
+            if max_exc[q] > ESCAPE_FACTOR * star[q][0]:
+                escaped[q] = True
+                res.live[r] = False
+            elif seg.index == intervals[-1]:
+                final_norm[q] = float(np.linalg.norm(seg.eval(t_end)[r]))
+                t_reached[q] = horizon
+        members = members[res.live]
+    if stalled:
+        raise stalled[min(stalled)]
+    times = np.asarray(env_ts)
+    return [(radius, max_exc[q], final_norm[q], t_reached[q], escaped[q],
+             None if escaped[q] else (times, np.asarray(env[q])))
+            for q, (radius, _) in enumerate(star)]
 
 
 def classify_stability(sys: HybridSystem, sched: ArgumentSchedule,
@@ -292,51 +360,25 @@ def classify_stability(sys: HybridSystem, sched: ArgumentSchedule,
                 f"(ends at {sched.t_max})")
         intervals = range(sched.interval_index(t0),
                           _locate_right_closed(sched, t_end) + 1)
-        for radius in radii:
-            for direction in dirs:
-                z0 = radius * direction
-                max_exc = float(np.linalg.norm(z0))
-                env_ts = [0.0]
-                env_ns = [max_exc]
-                escaped = False
-                final_norm = max_exc
-                t_reached = 0.0
-                try:
-                    for res in _march(sys, sched, t0, z0, intervals, step, tol,
-                                      max_iter):
-                        seg = res.segment
-                        mask = (seg.ts >= t0 - 1e-12) & (seg.ts <= t_end + 1e-12)
-                        norms = np.linalg.norm(seg.zs[mask], axis=1)
-                        env_ts.extend(np.asarray(seg.ts[mask]) - t0)
-                        env_ns.extend(norms)
-                        max_exc = max(max_exc, float(np.max(norms)))
-                        final_norm = float(norms[-1])
-                        t_reached = min(sched.theta(seg.index + 1), t_end) - t0
-                        if max_exc > ESCAPE_FACTOR * radius:
-                            escaped = True
-                            break
-                        if seg.index == intervals[-1]:
-                            final_norm = float(np.linalg.norm(seg.eval(t_end)))
-                            t_reached = horizon
-                except BlowUpError as err:
-                    escaped = True
-                    max_exc = final_norm = float("inf")
-                    t_reached = max(t_reached, err.last_finite_time - t0)
-                if escaped:
-                    saw_escape = True
+        star = _march_star(sys, sched, t0, horizon, intervals,
+                           [(r, d) for r in radii for d in dirs], step, tol,
+                           max_iter)
+        for radius, max_exc, final_norm, t_reached, escaped, env in star:
+            if escaped:
+                saw_escape = True
+                all_bounded = False
+                all_final_small = False
+            else:
+                if max_exc > BOUND_FACTOR * radius:
                     all_bounded = False
+                if final_norm > final_frac * radius:
                     all_final_small = False
-                else:
-                    if max_exc > BOUND_FACTOR * radius:
-                        all_bounded = False
-                    if final_norm > final_frac * radius:
-                        all_final_small = False
-                    order = np.argsort(env_ts)
-                    curves.append(np.interp(
-                        tau_grid, np.asarray(env_ts)[order],
-                        np.asarray(env_ns)[order]) / radius)
-                evidence.append((float(radius), max_exc, final_norm,
-                                 float(t_reached)))
+                env_ts, env_ns = env
+                order = np.argsort(env_ts)
+                curves.append(np.interp(tau_grid, env_ts[order],
+                                        env_ns[order]) / radius)
+            evidence.append((float(radius), max_exc, final_norm,
+                             float(t_reached)))
 
     fit: dict = {}
     rate = None

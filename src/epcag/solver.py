@@ -10,11 +10,18 @@ When zeta_i lies ahead of the data point, w is implicit and is resolved by a
 fixed-point iteration on the single vector w (``solve_anchor``).  Forward and
 backward continuation then march interval by interval.
 
-The nonlinearity ``f(t, z, w)`` is called with one state at a time by the
-solver, and with stacked states (``t`` of shape ``(m,)``, ``z`` and ``w`` of
-shape ``(m, n)``, one row per point, returning ``(m, n)``) by the graph maps.
-A callable that only takes one state at a time is detected when the system
-is built and wrapped once into a loop over rows (``HybridSystem.f_stacked``).
+The marcher takes one state ``(n,)`` or stacked rows ``(m, n)`` that share
+the start time, the schedule and the step (the stability star): the rows
+step on one node grid, each row's arithmetic is bitwise that of the row
+marched alone, and a row that fails leaves the march without stopping the
+others.
+
+The nonlinearity ``f(t, z, w)`` is called with one state at a time, or with
+stacked states (``t`` of shape ``(m,)``, ``z`` and ``w`` of shape ``(m, n)``,
+one row per point, returning ``(m, n)``) by stacked marches and the graph
+maps.  A callable that only takes one state at a time is detected when the
+system is built and wrapped once into a loop over rows
+(``HybridSystem.f_stacked``).
 
 A run is single threaded and owns its trajectory; distinct runs over shared
 (immutable) systems and schedules may proceed concurrently as long as the
@@ -159,7 +166,13 @@ class HybridSystem:
                 origin <= 1e-9 * (1 + l))
 
     def rhs(self, t, z, w):
-        return self.A @ z + np.asarray(self.f(t, z, w), dtype=float)
+        """z' at time t: one state, or stacked rows sharing t.  A stacked row
+        takes its own matrix-vector product, so it is bitwise the one-state
+        value (a matrix-matrix product rounds differently)."""
+        if z.ndim == 1:
+            return self.A @ z + np.asarray(self.f(t, z, w), dtype=float)
+        return (self.A @ z[..., None])[..., 0] + self.f_stacked(
+            np.full(len(z), t), z, w)
 
 
 @dataclass
@@ -294,10 +307,16 @@ def _node_grid(a: float, b: float, split_at: Optional[float], h: float) -> np.nd
 
 def _rk4_path(sys: HybridSystem, ts: np.ndarray, z0: np.ndarray, w: np.ndarray,
               interval: int):
-    """Classical fourth-order steps along the (possibly descending) node list."""
+    """Classical fourth-order steps along the (possibly descending) node list.
+
+    ``z0`` and ``w`` are one state or stacked rows (one w per row).  A lone
+    state that turns non-finite raises :class:`BlowUpError`; a stacked row
+    that does is nan from that node on, and the other rows retake the step
+    without it.
+    """
     n = len(ts)
-    zs = np.empty((n, sys.dim))
-    dzs = np.empty((n, sys.dim))
+    zs = np.empty((n,) + z0.shape)
+    dzs = np.empty((n,) + z0.shape)
     zs[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         dzs[0] = sys.rhs(ts[0], z0, w)
@@ -310,10 +329,37 @@ def _rk4_path(sys: HybridSystem, ts: np.ndarray, z0: np.ndarray, w: np.ndarray,
             k4 = sys.rhs(t + h, z + h * k3, w)
             znext = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             if not np.isfinite(znext).all():
-                raise BlowUpError(float(t), interval=interval)
+                if z0.ndim == 1:
+                    raise BlowUpError(float(t), interval=interval)
+                rest = _rows_path(sys, ts[j:], z, w, interval,
+                                  np.isfinite(znext).all(axis=1))
+                zs[j + 1:], dzs[j + 1:] = rest[0][1:], rest[1][1:]
+                return zs, dzs
             zs[j + 1] = znext
             dzs[j + 1] = sys.rhs(ts[j + 1], znext, w)
     return zs, dzs
+
+
+def _rows_path(sys, ts, z0, w, interval, rows):
+    """:func:`_rk4_path` of the stacked rows selected by the mask ``rows``;
+    the other rows are nan."""
+    zs = np.full((len(ts),) + z0.shape, np.nan)
+    dzs = zs.copy()
+    if rows.any():
+        zs[:, rows], dzs[:, rows] = _rk4_path(sys, ts, z0[rows], w[rows],
+                                              interval)
+    return zs, dzs
+
+
+def _blow_ups(ts, zs):
+    """``(row, last finite node time)`` for each stacked row of a path that
+    turned non-finite.  A row non-finite at the last node blew up at its
+    last finite node; one finite there (an interval's left path, which runs
+    after the right one) blew up at its first finite node."""
+    finite = np.isfinite(zs).all(axis=2)
+    for r in np.flatnonzero(~finite.all(axis=0)):
+        k = np.flatnonzero(finite[:, r])
+        yield int(r), float(ts[k[0] if finite[-1, r] else k[-1]])
 
 
 def _interval_step(sched: ArgumentSchedule, i: int, t_anchor: float,
@@ -334,7 +380,10 @@ def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
 
     Runs from the data point (t_anchor, z_anchor) towards both interval
     endpoints; nodes land exactly on theta_i, theta_{i+1} and zeta_i.  The
-    step is clamped to a quarter of the interval length.
+    step is clamped to a quarter of the interval length.  Stacked rows
+    (``z_anchor`` and ``w`` of shape ``(m, n)``) share the nodes; a row that
+    blows up on the right is not taken left, where a lone state would have
+    raised already.
     """
     h = _interval_step(sched, i, t_anchor, step)
     th_lo, th_hi = sched.theta(i), sched.theta(i + 1)
@@ -346,7 +395,11 @@ def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     left_ts = _node_grid(th_lo, t_anchor, zeta, h)[::-1]  # descending from anchor
 
     zs_r, dzs_r = _rk4_path(sys, right_ts, z_anchor, w, i)
-    zs_l, dzs_l = _rk4_path(sys, left_ts, z_anchor, w, i)
+    if z_anchor.ndim == 1:
+        zs_l, dzs_l = _rk4_path(sys, left_ts, z_anchor, w, i)
+    else:
+        zs_l, dzs_l = _rows_path(sys, left_ts, z_anchor, w, i,
+                                 np.isfinite(zs_r[-1]).all(axis=1))
 
     ts = np.concatenate([left_ts[::-1][:-1], right_ts])
     zs = np.concatenate([zs_l[::-1][:-1], zs_r])
@@ -356,12 +409,25 @@ def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
 
 @dataclass
 class AnchorResult:
+    """One interval's anchor solve.
+
+    For stacked rows, ``w`` and the segment's states hold one row per input
+    row, ``last_delta``, ``deltas`` and ``ratios`` one entry per row, and
+    ``iterations`` sums the rows' counts.  ``errors`` holds each row's
+    :class:`BlowUpError` or :class:`NonContractionError` (None for a row
+    that came through); a failed row's values are nan.  ``live`` marks the
+    rows that go on to the next interval of a march: the rows without error,
+    unless the caller clears an entry first.
+    """
+
     w: np.ndarray
     iterations: int
     last_delta: float
     deltas: list
     ratios: list
-    segment: Segment
+    segment: Optional[Segment]
+    errors: Optional[list] = None
+    live: Optional[np.ndarray] = None
 
 
 def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
@@ -380,6 +446,13 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     the observed ratio sequence when the iteration fails to settle; a
     blow-up outside the stretch surfaces from the final integration.
 
+    Stacked rows ``z_anchor`` of shape ``(m, n)`` share the sweeps but
+    iterate each on its own: a settled row is frozen and later sweeps take
+    only the rows still open, so every row gets the w, iteration count,
+    deltas and ratios it gets alone.  A row's failure does not raise; it is
+    recorded in ``AnchorResult.errors``.  The settled rows are integrated
+    together once.
+
     Contraction is guaranteed when the smallness report of the analysis
     module passes; when it does not, continuation may genuinely fail or be
     non-unique, and the error's ratio sequence is the diagnostic.
@@ -389,32 +462,78 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     h = _interval_step(sched, i, t_anchor, step)
     span = _node_grid(min(t_anchor, zeta), max(t_anchor, zeta), None, h)
     span = span if zeta >= t_anchor else span[::-1]
+    one = z_anchor.ndim == 1
+    Z = np.atleast_2d(z_anchor)  # a lone state is a stack of one row here
+    m = len(Z)
+    errors: list = [None] * m
 
-    def sweep(w):  # the value at zeta_i with the w-slot frozen at w
+    def sweep(rows):  # values at zeta_i of ``rows``, w-slots frozen at W
         if len(span) == 1:
-            return z_anchor
-        return _rk4_path(sys, span, z_anchor, w, i)[0][-1]
+            return Z[rows]
+        if one:  # a lone state raises its own BlowUpError
+            return _rk4_path(sys, span, z_anchor, W[0], i)[0][-1:]
+        zs = _rk4_path(sys, span, Z[rows], W[rows], i)[0]
+        for r, t in _blow_ups(span, zs):
+            errors[rows[r]] = BlowUpError(t, interval=i)
+        return zs[-1]
 
-    w = sweep(z_anchor)
-    scale = max(1.0, float(np.linalg.norm(w)))
-    deltas: list = []
-    ratios: list = []
-    for m in range(1, max_iter + 1):
-        w_next = sweep(w)
-        delta = float(np.linalg.norm(w_next - w))
-        if deltas and deltas[-1] > 0:
-            ratios.append(delta / deltas[-1])
-        deltas.append(delta)
-        if not np.isfinite(delta) or delta > _DELTA_EXPLOSION * scale:
-            raise NonContractionError(deltas, ratios, interval=i, max_iter=max_iter)
-        if delta < tol:
-            seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, w, step)
-            return AnchorResult(
-                w=w_next, iterations=m, last_delta=delta, deltas=deltas,
-                ratios=ratios, segment=seg,
-            )
-        w = w_next
-    raise NonContractionError(deltas, ratios, interval=i, max_iter=max_iter)
+    W = Z
+    W = sweep(np.arange(m))
+    scales = [max(1.0, float(np.linalg.norm(w))) for w in W]
+    deltas: list = [[] for _ in range(m)]
+    ratios: list = [[] for _ in range(m)]
+    settled: dict = {}  # row -> (the settling sweep's input w, its output)
+    rows = [r for r in range(m) if errors[r] is None]
+    for _ in range(max_iter):
+        if not rows:
+            break
+        still = []
+        for r, w_next in zip(rows, sweep(rows)):
+            if errors[r] is not None:
+                continue
+            delta = float(np.linalg.norm(w_next - W[r]))
+            if deltas[r] and deltas[r][-1] > 0:
+                ratios[r].append(delta / deltas[r][-1])
+            deltas[r].append(delta)
+            if not np.isfinite(delta) or delta > _DELTA_EXPLOSION * scales[r]:
+                errors[r] = NonContractionError(deltas[r], ratios[r],
+                                                interval=i, max_iter=max_iter)
+            elif delta < tol:
+                settled[r] = W[r], w_next
+            else:
+                W[r] = w_next
+                still.append(r)
+        rows = still
+    for r in rows:
+        errors[r] = NonContractionError(deltas[r], ratios[r], interval=i,
+                                        max_iter=max_iter)
+    if one:
+        if errors[0] is not None:
+            raise errors[0]
+        w, w_next = settled[0]
+        seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, w, step)
+        return AnchorResult(w=w_next, iterations=len(deltas[0]),
+                            last_delta=deltas[0][-1], deltas=deltas[0],
+                            ratios=ratios[0], segment=seg)
+    W_in, W_out = np.full_like(Z, np.nan), np.full_like(Z, np.nan)
+    for r, (w, w_next) in settled.items():
+        W_in[r], W_out[r] = w, w_next
+    seg = None
+    ok = sorted(settled)
+    if ok:
+        part = integrate_interval(sys, sched, i, t_anchor, Z[ok], W_in[ok],
+                                  step)
+        zs = np.full((len(part.ts), m, Z.shape[1]), np.nan)
+        dzs = zs.copy()
+        zs[:, ok], dzs[:, ok] = part.zs, part.dzs
+        for r, t in _blow_ups(part.ts, part.zs):
+            errors[ok[r]] = BlowUpError(t, interval=i)
+        seg = Segment(index=i, ts=part.ts, zs=zs, dzs=dzs, w=W_in)
+    return AnchorResult(
+        w=W_out, iterations=sum(map(len, deltas)),
+        last_delta=[d[-1] if d else np.nan for d in deltas], deltas=deltas,
+        ratios=ratios, segment=seg, errors=errors,
+        live=np.array([e is None for e in errors]))
 
 
 def _locate_right_closed(sched: ArgumentSchedule, t: float) -> int:
@@ -465,6 +584,8 @@ def _march(sys, sched, t_a, z_a, intervals, step, tol, max_iter):
 
     The data point of the next interval is the endpoint value just reached:
     theta_{i+1} for ascending ``intervals``, theta_i for descending ones.
+    Stacked rows go on with the result's ``live`` rows only, and the march
+    ends when none is left.
     """
     forward = intervals.step > 0
     z_a = np.asarray(z_a, dtype=float)
@@ -476,8 +597,12 @@ def _march(sys, sched, t_a, z_a, intervals, step, tol, max_iter):
                 err.interval = i
             raise
         yield res
+        if res.live is not None and not res.live.any():
+            return
         t_a = sched.theta(i + 1) if forward else sched.theta(i)
         z_a = res.segment.value_at_node(t_a)
+        if res.live is not None:
+            z_a = z_a[res.live]
 
 
 def _trajectory(results, direction, t_span) -> Trajectory:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -319,6 +320,18 @@ class TestInvariance:
         assert rep.off_surface_min_v >= 0.09
 
 
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _filled(ev) -> dict:
+    """The evaluator's filled cache cells, keyed (time index, coordinate
+    indices...)."""
+    return {(ti, *map(int, idx)): table[tuple(idx)]
+            for ti, table in ev._table.items()
+            for idx in np.argwhere(~np.isnan(table[..., 0]))}
+
+
 @pytest.fixture(scope="module")
 def geval(epca_sched, diag_split):
     amp = 0.01
@@ -361,14 +374,14 @@ class TestCenterEvaluator:
 
     def test_cache_reuse(self, geval):
         ev, _ = geval
-        before = len(ev._cache)
+        before = len(_filled(ev))
         ev.at(7.0, [0.5])
-        mid = len(ev._cache)
+        mid = len(_filled(ev))
         ev.at(19.0, [0.5])  # same wrapped time, same cell
-        assert len(ev._cache) == mid
+        assert len(_filled(ev)) == mid
         assert mid >= before
         # cells are keyed (time index, coordinate index)
-        for ti, idx in ev._cache:
+        for ti, idx in _filled(ev):
             assert 0 <= ti < len(ev.time_nodes) and 0 <= idx < ev.resolution
 
 
@@ -409,10 +422,9 @@ class TestCenterEvaluatorAperiodic:
         assert 0.05 <= ev.empirical_P(pairs=3) <= 1.0
 
 
-@pytest.fixture(scope="module")
-def evaluators(diag_split):
-    """One small evaluator per time mode, on a dyadic coordinate grid so
-    that grid coordinates are exact binary fractions."""
+def _one_dim_evaluator(period):
+    """One neutral coordinate on a dyadic coordinate grid, so that grid
+    coordinates are exact binary fractions."""
     amp = 0.01
 
     def f(t, z, w):
@@ -420,11 +432,17 @@ def evaluators(diag_split):
 
     sched = make_schedule("epca", window=(-30, 8))
     sys = HybridSystem(np.diag([-1.0, 0.0]), f, amp, 2)
-    b = compute_constants(sys.A, diag_split, sched, amp, alpha=0.25)
-    return {period: CenterEvaluator(sys, sched, diag_split, b, box=2.0,
-                                    resolution=5, tol=1e-6, quad_step=0.2,
-                                    time_period=period, time_subdiv=2)
-            for period in (1.0, None)}
+    split = spectral_split(sys.A)
+    b = compute_constants(sys.A, split, sched, amp, alpha=0.25)
+    return CenterEvaluator(sys, sched, split, b, box=2.0, resolution=5,
+                           tol=1e-6, quad_step=0.2, time_period=period,
+                           time_subdiv=2)
+
+
+@pytest.fixture(scope="module")
+def evaluators():
+    """One small evaluator per time mode."""
+    return {period: _one_dim_evaluator(period) for period in (1.0, None)}
 
 
 class TestCenterEvaluatorExactAtNodes:
@@ -438,7 +456,7 @@ class TestCenterEvaluatorExactAtNodes:
         t = float(ev.time_nodes[ti])
         d = ev.lo + idx * (ev.hi - ev.lo) / (ev.resolution - 1)
         got = ev.at(t, d)
-        assert np.array_equal(got, ev._cache[(ti, idx)])
+        assert np.array_equal(got, _filled(ev)[(ti, idx)])
         assert np.array_equal(got, ev.point(t, d))
 
 
@@ -508,7 +526,7 @@ class TestCenterEvaluatorMergedLookup:
     @pytest.mark.parametrize("period", [1.0, None])
     def test_matches_the_two_pass_lookup(self, evaluators, nm, period):
         ev = evaluators[period] if nm == 1 else _three_dim_evaluator(period)
-        ev._cache.clear()
+        ev._table.clear()
         cache: dict = {}
         rng = np.random.default_rng(11)
         nodes = ev.time_nodes
@@ -521,8 +539,118 @@ class TestCenterEvaluatorMergedLookup:
             got = ev.at(t, v)
             scale = max(np.max(np.abs(val)) for val in cache.values())
             assert np.max(np.abs(got - want)) <= 1e-15 * scale
-        assert len(ev._cache) == len(cache)
-        assert set(ev._cache) == {(ti, *idx) for ti, idx in cache}
+        assert len(_filled(ev)) == len(cache)
+        assert set(_filled(ev)) == {(ti, *idx) for ti, idx in cache}
+
+
+def _counted(ev):
+    """Count the evaluator's uncached graph evaluations."""
+    point, calls = ev.point, []
+
+    def counted(t, d):
+        calls.append((t, tuple(d)))
+        return point(t, d)
+
+    ev.point = counted
+    return calls
+
+
+def _query_rows(ev, rng):
+    """Rows on grid nodes, inside cells, on the box edge and just past it
+    within the 1e-12 slack, in every coordinate."""
+    nm = len(ev.lo)
+    h = (ev.hi - ev.lo) / (ev.resolution - 1)
+    rows = [ev.lo + idx * h for idx in ([0] * nm, [1] * nm, [ev.resolution - 1] * nm)]
+    rows += list(rng.uniform(ev.lo, ev.hi, size=(4, nm)))
+    rows += [ev.lo, ev.hi, ev.lo - 5e-13, ev.hi + 5e-13]
+    rows.append(np.where(np.arange(nm) % 2, ev.hi, ev.lo + 2 * h))
+    return np.array(rows, dtype=float)
+
+
+def _one_point_at(ev, t, v):
+    """Reference one-point lookup over the evaluator's filled cells: a loop
+    over the positive-weight corners in product order (time slowest),
+    summing ``prod(weights) * value`` from 0.0."""
+    t = float(t)
+    if ev.time_period is not None:
+        t = ev.t_ref + ((t - ev.t_ref) % ev.time_period)
+    nodes = ev.time_nodes
+    j = min(max(int(np.searchsorted(nodes, t, side="right")) - 1, 0),
+            len(nodes) - 2)
+    t0, t1 = nodes[j:j + 2].tolist()
+    lam = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+    axes = [((j, 1.0 - lam), (j + 1, lam))]
+    n = ev.resolution - 1
+    for x, lo, hi in zip(np.atleast_1d(v).tolist(), ev.lo.tolist(),
+                         ev.hi.tolist()):
+        pos = (x - lo) / ((hi - lo) / n)
+        base = min(max(math.floor(pos), 0), n - 1)
+        axes.append(((base, 1.0 - (pos - base)), (base + 1, pos - base)))
+    cells = _filled(ev)
+    out = 0.0
+    for corner in itertools.product(*[[c for c in ax if c[1] > 0]
+                                      for ax in axes]):
+        key, weights = zip(*corner)
+        out = out + math.prod(weights) * cells[key]
+    return out
+
+
+class TestCenterEvaluatorStackedLookup:
+    """at(t, rows) is the one-point lookup row by row, bit for bit, and fills
+    exactly the cells the one-point calls fill."""
+
+    @pytest.mark.parametrize("nm", [1, 2])
+    @pytest.mark.parametrize("period", [1.0, None])
+    def test_rows_are_the_one_point_calls(self, nm, period):
+        make = _one_dim_evaluator if nm == 1 else _three_dim_evaluator
+        stacked, alone = make(period), make(period)
+        stacked_calls, alone_calls = _counted(stacked), _counted(alone)
+        rows = _query_rows(stacked, np.random.default_rng(nm))
+        nodes = stacked.time_nodes
+        times = [float(nodes[1]), 0.5 * float(nodes[1] + nodes[2]),
+                 float(nodes[-1]) - 0.1, float(nodes[0]) + 3.3]
+        for t in times:
+            want = np.array([alone.at(t, v) for v in rows])
+            assert same_bits(stacked.at(t, rows), want)
+            assert same_bits(want, [_one_point_at(alone, t, v) for v in rows])
+        per_row = np.resize(times, len(rows))
+        want = np.array([alone.at(t, v) for t, v in zip(per_row, rows)])
+        assert same_bits(stacked.at(per_row, rows), want)
+        assert same_bits(stacked.at(times[1], rows[3]), alone.at(times[1], rows[3]))
+        assert _filled(stacked).keys() == _filled(alone).keys()
+        assert sorted(stacked_calls) == sorted(alone_calls)
+        assert len(stacked_calls) == len(set(stacked_calls))
+
+    @pytest.mark.parametrize("nm", [1, 2])
+    def test_zero_weight_corners_are_not_filled(self, nm):
+        ev = (_one_dim_evaluator if nm == 1 else _three_dim_evaluator)(1.0)
+        calls = _counted(ev)
+        h = (ev.hi - ev.lo) / (ev.resolution - 1)
+        idx = np.array([[1] * nm, [2] * nm, [ev.resolution - 1] * nm, [1] * nm])
+        got = ev.at(float(ev.time_nodes[1]), ev.lo + idx * h)
+        assert len(calls) == 3
+        assert set(_filled(ev)) == {(1, *map(int, i)) for i in idx}
+        for i, value in zip(idx, got):
+            assert same_bits(value, _filled(ev)[(1, *map(int, i))])
+
+    def test_any_row_out_of_the_box_raises(self):
+        ev = _one_dim_evaluator(1.0)
+        rows = np.array([[0.3], [ev.hi[0] + 1e-9], [-0.4]])
+        with pytest.raises(BoxExceededError):
+            ev.at(0.25, rows)
+        with pytest.raises(BoxExceededError):
+            ev.at(np.array([0.25, 0.5, 0.75]), rows)
+
+    def test_no_table_outlives_its_evaluator(self):
+        first, second = _one_dim_evaluator(1.0), _one_dim_evaluator(1.0)
+        counts = []
+        for ev in (first, second):
+            calls = _counted(ev)
+            ev.at(0.3, np.array([[0.2], [-1.1]]))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        assert _filled(first).keys() == _filled(second).keys()
+        assert first._table is not second._table
 
 
 def test_nonpositive_step_and_zero_sweeps_rejected(stack):

@@ -13,7 +13,10 @@ from epcag import (
     solve_forward,
     spectral_split,
 )
-from epcag.errors import DegenerateDimensionError, ParameterError
+from epcag import reduction
+from epcag.errors import (BlowUpError, DegenerateDimensionError,
+                          NonContractionError, ParameterError)
+from epcag.solver import _march
 
 
 def center_cubic_system(a=0.012, sign=-1.0, eps=None):
@@ -234,6 +237,103 @@ class TestClassifierMarch:
         traj = solve_forward(sys, sched, 0.0, np.array([0.1]), t_reached,
                              0.2, 1e-8)
         assert final_norm == abs(traj.eval(t_reached)[0])
+
+
+def member_by_member_star(sys, sched, t0, horizon, intervals, star, step, tol,
+                          max_iter):
+    """Reference for the stacked star march: every member marched alone, in
+    star order, stopping at its escape or blow-up."""
+    t_end = t0 + horizon
+    out = []
+    for radius, direction in star:
+        z0 = radius * direction
+        max_exc = float(np.linalg.norm(z0))
+        env_ts, env_ns = [0.0], [max_exc]
+        escaped, final_norm, t_reached = False, max_exc, 0.0
+        try:
+            for res in _march(sys, sched, t0, z0, intervals, step, tol,
+                              max_iter):
+                seg = res.segment
+                mask = (seg.ts >= t0 - 1e-12) & (seg.ts <= t_end + 1e-12)
+                norms = np.linalg.norm(seg.zs[mask], axis=1)
+                env_ts.extend(np.asarray(seg.ts[mask]) - t0)
+                env_ns.extend(norms)
+                max_exc = max(max_exc, float(np.max(norms)))
+                final_norm = float(norms[-1])
+                t_reached = min(sched.theta(seg.index + 1), t_end) - t0
+                if max_exc > reduction.ESCAPE_FACTOR * radius:
+                    escaped = True
+                    break
+                if seg.index == intervals[-1]:
+                    final_norm = float(np.linalg.norm(seg.eval(t_end)))
+                    t_reached = horizon
+        except BlowUpError as err:
+            escaped = True
+            max_exc = final_norm = float("inf")
+            t_reached = max(t_reached, err.last_finite_time - t0)
+        env = None if escaped else (np.asarray(env_ts), np.asarray(env_ns))
+        out.append((radius, max_exc, final_norm, t_reached, escaped, env))
+    return out
+
+
+class TestStackedStar:
+    """classify_stability marches each start time's star as one stacked
+    state; its verdict equals the member-by-member march bit for bit."""
+
+    def classify_both(self, monkeypatch, sys, sched, **kwargs):
+        stacked = classify_stability(sys, sched, **kwargs).as_dict()
+        monkeypatch.setattr(reduction, "_march_star", member_by_member_star)
+        alone = classify_stability(sys, sched, **kwargs).as_dict()
+        return stacked, alone
+
+    @pytest.mark.parametrize("kind", ["alternating", "epca", "randomized"])
+    def test_mixed_star_verdict(self, monkeypatch, mixed_star, star_schedules,
+                                kind):
+        sched, t0 = star_schedules[kind]
+        stacked, alone = self.classify_both(
+            monkeypatch, mixed_star, sched, radii=[0.1, 1.0],
+            horizon=12.0, t0_samples=[t0], n_random_dirs=2, step=0.25,
+            tol=1e-10)
+        assert stacked == alone
+        assert stacked["classification"] == "unstable"
+        ev = stacked["evidence"]
+        # bounded members, members that escaped before the horizon and
+        # members that blew up
+        assert any(e["horizon"] == 12.0 for e in ev)
+        assert any(np.isfinite(e["max_excursion"]) and e["horizon"] < 12.0
+                   for e in ev)
+        assert any(not np.isfinite(e["max_excursion"]) for e in ev)
+
+    def test_bounded_star_fit(self, monkeypatch):
+        sys = HybridSystem(np.diag([-1.0, -0.4]),
+                           lambda t, z, w: 0.05 * np.tanh(w[..., ::-1]), 0.05, 2)
+        sched = make_schedule("alternating", window=(-1, 14))
+        stacked, alone = self.classify_both(
+            monkeypatch, sys, sched, radii=[0.2, 0.5], horizon=20.0,
+            t0_samples=[0.0, 1.3], n_random_dirs=3, step=0.2)
+        assert stacked == alone
+        assert stacked["classification"] == "exponential"
+
+    def test_non_contraction_is_the_first_failing_member(self, mixed_star,
+                                                          star_schedules):
+        # tol 0 never settles an implicit anchor; the unit members along
+        # +-e_1 blow up in their first sweep and escape, so the member along
+        # e_2 is the first to fail
+        sys = mixed_star
+        sched, t0 = star_schedules["alternating"]
+        intervals = range(sched.interval_index(t0),
+                          sched.interval_index(t0 + 6.0) + 1)
+        with pytest.raises(NonContractionError) as ref:
+            list(_march(sys, sched, t0, np.array([0.0, 1.0]), intervals,
+                        0.25, 0.0, 5))
+        with pytest.raises(NonContractionError) as got:
+            classify_stability(sys, sched, radii=[1.0, 0.5], horizon=6.0,
+                               t0_samples=[t0], n_random_dirs=2, step=0.25,
+                               tol=0.0, max_iter=5)
+        assert got.value.interval == ref.value.interval
+        assert got.value.deltas == ref.value.deltas
+        assert got.value.ratios == ref.value.ratios
+        assert got.value.max_iter == ref.value.max_iter == 5
 
 
 class TestReductionCheck:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from epcag import (
     HybridSystem,
@@ -13,6 +14,7 @@ from epcag import (
     solve_forward,
 )
 from epcag.errors import BlowUpError, NonContractionError
+from epcag.solver import _march
 
 E3 = math.exp(3.0)
 
@@ -299,6 +301,78 @@ class TestSolveAnchorWork:
         assert 0.5 <= ei.value.last_finite_time < 1.0
 
 
+def star_points(radii, n_random=2, seed=3):
+    rng = np.random.default_rng(seed)
+    dirs = [np.array(d, dtype=float) for d in ([1, 0], [-1, 0], [0, 1], [0, -1])]
+    for _ in range(n_random):
+        v = rng.normal(size=2)
+        dirs.append(v / np.linalg.norm(v))
+    return np.array([r * d for r in radii for d in dirs])
+
+
+class TestStackedMarch:
+    """Stacked rows march as one state; each row is bitwise the row marched
+    alone, and a failing row leaves without touching the others."""
+
+    @pytest.mark.parametrize("kind", ["alternating", "epca", "randomized"])
+    def test_rows_equal_the_member_by_member_march(self, mixed_star,
+                                                   star_schedules, kind):
+        sys = mixed_star
+        sched, t0 = star_schedules[kind]
+        intervals = range(sched.interval_index(t0),
+                          sched.interval_index(t0 + 12.0) + 1)
+        Z0 = star_points([0.1, 1.0])
+        stacked = list(_march(sys, sched, t0, Z0, intervals, 0.25, 1e-10, 50))
+        blown = finished = 0
+        iteration_counts = set()
+        for q, z0 in enumerate(Z0):
+            ref, err = [], None
+            try:
+                for res in _march(sys, sched, t0, z0, intervals, 0.25, 1e-10,
+                                  50):
+                    ref.append(res)
+            except BlowUpError as exc:
+                err = exc
+            members = np.arange(len(Z0))
+            for p, res in enumerate(stacked):
+                (r,) = np.flatnonzero(members == q)
+                assert res.iterations == sum(len(d) for d in res.deltas)
+                if p == len(ref):
+                    assert isinstance(res.errors[r], BlowUpError)
+                    assert res.errors[r].last_finite_time == err.last_finite_time
+                    assert res.errors[r].interval == err.interval
+                    blown += 1
+                    break
+                one = ref[p]
+                assert res.errors[r] is None
+                assert same_bits(res.segment.ts, one.segment.ts)
+                assert same_bits(res.segment.zs[:, r], one.segment.zs)
+                assert same_bits(res.segment.dzs[:, r], one.segment.dzs)
+                assert same_bits(res.segment.w[r], one.segment.w)
+                assert same_bits(res.w[r], one.w)
+                assert len(res.deltas[r]) == one.iterations
+                assert res.deltas[r] == one.deltas
+                assert res.ratios[r] == one.ratios
+                assert res.last_delta[r] == one.last_delta
+                iteration_counts.add(one.iterations)
+                members = members[res.live]
+            else:
+                assert err is None and len(ref) == len(stacked)
+                finished += 1
+        assert blown and finished
+        if kind != "epca":
+            assert len(iteration_counts) > 1
+
+    def test_rhs_rows_are_the_one_state_values(self):
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(3, 3))
+        sys = HybridSystem(A, lambda t, z, w: 0.1 * np.tanh(w - z), 0.2, 3)
+        Z, W = rng.normal(size=(2, 7, 3))
+        got = sys.rhs(0.4, Z, W)
+        assert same_bits(got, [sys.rhs(0.4, z, w) for z, w in zip(Z, W)])
+        assert same_bits(sys.rhs(0.4, Z[2:4], W[2:4]), got[2:4])
+
+
 class TestSolveForward:
     def test_zero_nonlinearity_matrix_exponential(self):
         A = np.array([[-0.4, 0.8], [-0.8, -0.4]])
@@ -388,6 +462,29 @@ class TestSolveForward:
                                0.05, tol)
         for t in np.linspace(2.0, 4.0, 9):
             assert np.linalg.norm(whole.eval(t) - second.eval(t)) <= 10 * tol + 1e-9
+
+
+class TestRoundTrip:
+    """Forward continuation followed by backward continuation from its end
+    point returns to the start: the marcher's two directions invert each
+    other up to the integration error."""
+
+    @settings(max_examples=8)
+    @given(omega=st.floats(0.5, 1.5), damping=st.floats(0.0, 0.3),
+           amp=st.floats(0.0, 0.05), phi=st.floats(0.0, 2.0 * math.pi),
+           seed=st.integers(0, 2**31 - 1))
+    def test_forward_then_backward(self, omega, damping, amp, phi, seed):
+        A = np.array([[-damping, omega], [-omega, -damping]])
+        sys = HybridSystem(A, lambda t, z, w: amp * np.tanh(w[..., ::-1]),
+                           amp, 2)
+        sched = make_schedule("randomized", window=(0, 20), theta_bound=1.0,
+                              seed=seed)
+        z0 = 0.5 * np.array([math.cos(phi), math.sin(phi)])
+        t0, t_end = sched.t_min, sched.theta(12)
+        fwd = solve_forward(sys, sched, t0, z0, t_end, 0.05, 1e-10)
+        back = solve_backward(sys, sched, t_end, fwd.eval(t_end), t0, 0.05,
+                              1e-10)
+        assert np.linalg.norm(back.eval(t0) - z0) <= 1e-5
 
 
 class TestSolveBackward:
