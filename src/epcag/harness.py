@@ -398,23 +398,30 @@ def _default_t0_samples(sched: ArgumentSchedule, horizon: float):
 def run(config: ExperimentConfig, out_dir) -> int:
     """Execute the configured recipe, writing artifacts into out_dir.
 
-    Returns 0 on success, 2 on configuration errors, 3 on numerical
-    failures; failures leave a machine-readable error record in report.json.
+    Returns 0 on success, 1 on an internal error (any other exception),
+    2 on configuration errors, 3 on numerical failures; failures leave a
+    machine-readable error record in report.json, an internal error's with
+    module "internal" and the formatted traceback.
     """
+    import traceback
     from pathlib import Path
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(config, out_dir)
     try:
-        payload = _dispatch(config, out_dir)
+        _write_report(out_dir, _dispatch(config, out_dir))
     except ConfigError as err:
         _write_report(out_dir, {"error": _error_record(err)})
         return 2
     except EpcagError as err:
         _write_report(out_dir, {"error": _error_record(err)})
         return 3
-    _write_report(out_dir, payload)
+    except Exception as err:
+        _write_report(out_dir, {"error": {
+            "type": type(err).__name__, "message": str(err),
+            "module": "internal", "traceback": traceback.format_exc()}})
+        return 1
     return 0
 
 

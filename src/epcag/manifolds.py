@@ -4,7 +4,10 @@ their integral equations, with truncated improper integrals.
 
 All quadrature runs on panel grids aligned to the schedule breakpoints, so
 each panel sees a single anchor value and the piecewise-smooth integrands are
-integrated at full order.  Each sweep samples the nonlinearity on every
+integrated at full order.  A grid is a set of arrays laid out in one
+vectorized pass: the window is cut at every breakpoint and anchor inside it,
+and each panel between two cuts gets an even number of uniform sub-steps no
+longer than the quadrature step.  Each sweep samples the nonlinearity on every
 panel node in one stacked call, ``f(t, Z, W)`` with one row per node (see
 :mod:`epcag.solver` for the contract).  Kernel-weighted composite Simpson
 rules then propagate the cumulative integrals in one pass, a few matrix
@@ -64,25 +67,15 @@ class ManifoldApprox:
 # panel grids and kernel-weighted cumulative quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Panel:
-    start: int          # global index of the panel's first node
-    n_sub: int          # even number of sub-steps
-    delta: float
-    interval: int
-    t_beta: float
-    beta_idx: int
-
-
 class _PanelGrid:
-    """Global node array over [t_lo, t_hi] split at every schedule breakpoint
-    and anchor, with even uniform sub-grids per panel.
-
-    The nonlinearity is sampled panel by panel, each panel on all of its
-    nodes with its own anchor value, so a node shared by two panels is
-    sampled twice.  ``rows`` lists the node of every sample in that order,
-    ``betas`` the node of its panel's anchor, and ``offsets`` where each
-    panel's samples start (one more entry, the sample count, at the end).
+    """Nodes ``ts`` over [t_lo, t_hi], cut at every breakpoint and anchor
+    inside: panel p has ``n_sub[p]`` (even) sub-steps of ``delta[p]`` from
+    node ``start[p]``, its node q is a_p + q delta_p (the value of
+    ``np.linspace``) and its anchor is node ``beta_idx[p]``.  The
+    nonlinearity is sampled panel by panel, so a node shared by two panels
+    is sampled twice: ``rows`` holds each sample's node, ``betas`` its
+    anchor's node, ``offsets`` where each panel's samples start and then
+    the sample count.
     """
 
     def __init__(self, sched: ArgumentSchedule, t_lo: float, t_hi: float,
@@ -91,52 +84,39 @@ class _PanelGrid:
             raise ParameterError(f"empty quadrature window [{t_lo}, {t_hi}]")
         if not max_h > 0:
             raise ParameterError(f"quadrature step must be positive, got {max_h}")
-        cuts = {t_lo, t_hi}
-        for p in range(len(sched.thetas)):
-            th = float(sched.thetas[p])
-            if t_lo < th < t_hi:
-                cuts.add(th)
-        for p in range(len(sched.zetas)):
-            ze = float(sched.zetas[p])
-            if t_lo < ze < t_hi:
-                cuts.add(ze)
-        bounds = sorted(cuts)
-        nodes = [np.array([t_lo])]
-        self.panels: list = []
-        pos = 0
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            n_sub = 2 * max(1, int(np.ceil((b - a) / (2 * max_h) - 1e-12)))
-            local = np.linspace(a, b, n_sub + 1)
-            nodes.append(local[1:])
-            mid = 0.5 * (a + b)
-            i = sched.interval_index(mid)
-            self.panels.append(_Panel(
-                start=pos, n_sub=n_sub, delta=(b - a) / n_sub, interval=i,
-                t_beta=sched.zeta(i), beta_idx=-1,
-            ))
-            pos += n_sub
-        self.ts = np.concatenate(nodes)
-        for p in self.panels:
-            j = int(np.searchsorted(self.ts, p.t_beta))
-            hit = None
-            for cand in (j, j - 1, j + 1):
-                if 0 <= cand < len(self.ts) and abs(self.ts[cand] - p.t_beta) <= 1e-10:
-                    hit = cand
-                    break
-            if hit is None:
-                raise ParameterError(
-                    f"anchor time {p.t_beta} of interval {p.interval} is not "
-                    f"covered by the quadrature window [{t_lo}, {t_hi}]"
-                )
-            p.beta_idx = hit
-        self.rows = np.concatenate([np.arange(p.start, p.start + p.n_sub + 1)
-                                    for p in self.panels])
-        self.betas = np.repeat([p.beta_idx for p in self.panels],
-                               [p.n_sub + 1 for p in self.panels])
-        self.offsets = np.cumsum([0] + [p.n_sub + 1 for p in self.panels])
-
-    def __len__(self):
-        return len(self.ts)
+        marks = np.concatenate([sched.thetas, sched.zetas])
+        cuts = np.unique(np.concatenate(
+            [[t_lo, t_hi], marks[(t_lo < marks) & (marks < t_hi)]]))
+        a, b, panels = cuts[:-1], cuts[1:], np.arange(len(cuts) - 1)
+        mids = 0.5 * (a + b)
+        for mid in mids[(mids < sched.t_min) | (mids > sched.t_max)][:1]:
+            sched.interval_index(float(mid))  # raises ScheduleWindowError
+        p = np.minimum(np.searchsorted(sched.thetas, mids, side="right") - 1,
+                       len(sched.zetas) - 1)
+        t_beta = sched.zetas[p]
+        self.n_sub = n_sub = 2 * np.maximum(
+            1, np.ceil((b - a) / (2 * max_h) - 1e-12).astype(int))
+        self.delta = (b - a) / n_sub
+        ends = np.concatenate([[0], np.cumsum(n_sub)])
+        self.start = ends[:-1]
+        of = np.repeat(panels, n_sub)  # the panel of each node but the first
+        q = np.arange(1, ends[-1] + 1) - self.start[of]
+        self.ts = ts = np.concatenate([[t_lo], q * self.delta[of] + a[of]])
+        ts[ends[1:]] = b  # each panel ends on its cut exactly, as np.linspace
+        # the anchor's node: the nearer of the two around it, within 1e-10
+        j = np.clip(np.searchsorted(ts, t_beta), 1, len(ts) - 1)
+        j -= t_beta - ts[j - 1] < ts[j] - t_beta
+        far = np.abs(ts[j] - t_beta) > 1e-10
+        if far.any():
+            bad = int(np.argmax(far))
+            raise ParameterError(
+                f"anchor time {float(t_beta[bad])} of interval "
+                f"{sched.i_min + int(p[bad])} is not covered by the quadrature "
+                f"window [{t_lo}, {t_hi}]")
+        self.beta_idx = j
+        self.rows = np.arange(ends[-1] + len(a)) - np.repeat(panels, n_sub + 1)
+        self.betas = np.repeat(j, n_sub + 1)
+        self.offsets = ends + np.arange(len(cuts))
 
 
 def _panel_table(B: np.ndarray, delta: float, n_sub: int):
@@ -171,32 +151,26 @@ def _sweep_tables(B: np.ndarray, grid: _PanelGrid, backward: bool = False):
     even nodes and the odd nodes.
     """
     d = B.shape[0]
-    spans = [(p.start, p.n_sub, p.delta, off)
-             for p, off in zip(grid.panels, grid.offsets)]
+    ends, offs = np.append(grid.start, len(grid.ts) - 1), grid.offsets
+    n_sub, delta = grid.n_sub, grid.delta
     if backward:
-        last, count = len(grid) - 1, grid.offsets[-1]
         B = -B
-        spans = [(last - start - n_sub, n_sub, dl, count - off - n_sub - 1)
-                 for start, n_sub, dl, off in reversed(spans)]
-    ends = np.array([start for start, *_ in spans] + [len(grid) - 1])
+        ends, offs = ends[-1] - ends[::-1], offs[-1] - offs[::-1]
+        n_sub, delta = n_sub[::-1], delta[::-1]
     if d == 0:  # nothing to propagate
-        return len(grid), d, ends, [], []
+        return len(grid.ts), d, ends, [], []
     shapes: dict = {}
-    for pos, (_, n_sub, dl, _) in enumerate(spans):
-        shapes.setdefault((round(dl, 15), n_sub), []).append(pos)
-    offs = np.array([off for *_, off in spans])
-    groups, steps = [], [None] * len(spans)
-    for (_, n_sub), where in shapes.items():
-        table = _panel_table(B, spans[where[0]][2], n_sub)
-        E2h = table[4]
-        for pos in where:
-            steps[pos] = E2h
-        where = np.array(where)
-        q = np.arange(n_sub + 1)
+    for pos, (dl, n) in enumerate(zip(delta.tolist(), n_sub.tolist())):
+        shapes.setdefault((round(dl, 15), n), []).append(pos)
+    groups, steps = [], np.empty((len(n_sub), d, d))
+    for (_, n), where in shapes.items():
+        table = _panel_table(B, delta[where[0]], n)
+        steps[where] = table[4]
+        q = np.arange(n + 1)
         start = ends[where][:, None]
         groups.append((table, where, offs[where][:, None] + q,
                        start + q[2:-1:2], start + q[1::2]))
-    return len(grid), d, ends, steps, groups
+    return len(grid.ts), d, ends, steps, groups
 
 
 def _sweep(tables, gvals, x0, backward: bool = False):
@@ -248,8 +222,7 @@ def _sweep(tables, gvals, x0, backward: bool = False):
 
 
 def _eval_g_panels(fblock, grid: _PanelGrid, Z: np.ndarray):
-    """Samples of fblock(t_j, Z_j, Z(beta(t_j))) in the grid's sample order,
-    from one stacked call."""
+    """fblock(t_j, Z_j, Z(beta(t_j))) at every sample, in one stacked call."""
     return fblock(grid.ts[grid.rows], Z[grid.rows], Z[grid.betas])
 
 
@@ -310,7 +283,7 @@ def _picard(Bp, Bm, g, grid: _PanelGrid, u0, v_end, tol, max_iter, weight=1.0):
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     k = Bp.shape[0]
-    Z = np.zeros((len(grid), k + Bm.shape[0]))
+    Z = np.zeros((len(grid.ts), k + Bm.shape[0]))
     fwd = _sweep_tables(Bp, grid)
     bwd = _sweep_tables(Bm, grid, backward=True)
     deltas: list = []
@@ -575,14 +548,10 @@ class CenterEvaluator:
         if time_period is not None:
             self.t_ref = t_ref = _snap_up(
                 sched, sched.t_min + horizon + 2 * sched.theta_bound)
-            candidates = np.concatenate([
+            marks = np.concatenate([sched.thetas, sched.zetas])
+            nodes = np.unique(np.concatenate([
                 t_ref + np.linspace(0.0, time_period, time_subdiv + 1),
-                [float(v) for v in sched.thetas
-                 if t_ref < v < t_ref + time_period],
-                [float(v) for v in sched.zetas
-                 if t_ref < v < t_ref + time_period],
-            ])
-            nodes = np.unique(candidates)
+                marks[(t_ref < marks) & (marks < t_ref + time_period)]]))
         else:
             self.t_ref = None
             nodes = np.unique(np.concatenate([sched.thetas, sched.zetas]))

@@ -394,12 +394,20 @@ def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     right_ts = _node_grid(t_anchor, th_hi, zeta, h)
     left_ts = _node_grid(th_lo, t_anchor, zeta, h)[::-1]  # descending from anchor
 
-    zs_r, dzs_r = _rk4_path(sys, right_ts, z_anchor, w, i)
-    if z_anchor.ndim == 1:
+    # a one-node side is the other side's first entry: the same data point
+    # and rhs(t_anchor, z_anchor, w), so it takes no rhs of its own
+    if len(right_ts) == 1:  # the data point is the right end
         zs_l, dzs_l = _rk4_path(sys, left_ts, z_anchor, w, i)
+        zs_r, dzs_r = zs_l[:1], dzs_l[:1]
     else:
-        zs_l, dzs_l = _rows_path(sys, left_ts, z_anchor, w, i,
-                                 np.isfinite(zs_r[-1]).all(axis=1))
+        zs_r, dzs_r = _rk4_path(sys, right_ts, z_anchor, w, i)
+        if len(left_ts) == 1:  # the data point is the left end
+            zs_l, dzs_l = zs_r[:1], dzs_r[:1]
+        elif z_anchor.ndim == 1:
+            zs_l, dzs_l = _rk4_path(sys, left_ts, z_anchor, w, i)
+        else:
+            zs_l, dzs_l = _rows_path(sys, left_ts, z_anchor, w, i,
+                                     np.isfinite(zs_r[-1]).all(axis=1))
 
     ts = np.concatenate([left_ts[::-1][:-1], right_ts])
     zs = np.concatenate([zs_l[::-1][:-1], zs_r])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from epcag import errors
+from epcag import errors, harness
 from epcag.cli import main
 from epcag.errors import ConfigError
 from epcag.harness import (
@@ -296,6 +296,27 @@ class TestCli:
         cfg_path.write_text(json.dumps({"system": {}}))
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_internal_error_exits_1_with_a_record(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("defect in a recipe")
+
+        monkeypatch.setattr(harness, "_recipe_simulate", broken)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(simulate_config()))
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "run failed (status 1)" in captured.err
+        err = json.loads((out_dir / "report.json").read_text())["error"]
+        assert (err["type"], err["message"], err["module"]) == (
+            "RuntimeError", "defect in a recipe", "internal")
+        assert err["traceback"].startswith("Traceback")
+        assert "_dispatch" in err["traceback"]
+        assert (out_dir / "manifest").exists()
 
     def _max_iter_one(self, recipe, cfg, tmp_path):
         # mid-interval anchors need several anchor iterations, so a solver

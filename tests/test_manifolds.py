@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from epcag import (
     CenterEvaluator,
@@ -18,7 +18,7 @@ from epcag import (
     verify_surface_invariance,
 )
 from epcag.errors import (BoxExceededError, DivergenceError, EnvelopeError,
-                          ParameterError, SmallnessError)
+                          ParameterError, ScheduleWindowError, SmallnessError)
 from epcag.analysis import _sampled_sup, fit_growth_constant
 from epcag import analysis, manifolds, reduction
 from epcag.manifolds import (_PanelGrid, _block_f, _check_envelope,
@@ -718,12 +718,12 @@ class TestQuadratureSweeps:
                                   seed=5, t_start=-1.0)
             grid = _PanelGrid(sched, sched.t_min, sched.t_max, 0.1)
         if kind != "epca":
-            assert len({round(p.delta, 12) for p in grid.panels}) > 1
+            assert len({round(dl, 12) for dl in grid.delta.tolist()}) > 1
         B = np.array(B)
         g = lambda s: np.array([math.sin(1.3 * s) + 0.3,
                                 math.cos(0.7 * s) * math.exp(0.1 * s)])
-        gv = [np.array([g(grid.ts[p.start + q]) for q in range(p.n_sub + 1)])
-              for p in grid.panels]
+        gv = [np.array([g(t) for t in grid.ts[start:start + n_sub + 1]])
+              for start, n_sub in zip(grid.start, grid.n_sub)]
         x = np.array([0.7, -0.4])
         fwd = _sweep(_sweep_tables(B, grid), np.concatenate(gv), x)
         bwd = _sweep(_sweep_tables(B, grid, backward=True), np.concatenate(gv),
@@ -744,7 +744,8 @@ class TestQuadratureSweeps:
         split.K_shifted  # fitted once per split, outside the count
         zeta = sched.zeta(sched.i_min + len(sched.zetas) - 4)
         grid = _PanelGrid(sched, _snap_down(sched, zeta - 20.0), zeta, 0.1)
-        shapes = {(round(p.delta, 15), p.n_sub) for p in grid.panels}
+        shapes = set(zip([round(dl, 15) for dl in grid.delta.tolist()],
+                         grid.n_sub.tolist()))
         assert len(shapes) > 10
         expm = scipy.linalg.expm
         calls = []
@@ -771,7 +772,7 @@ class TestQuadratureSweeps:
         tables = _sweep_tables(np.zeros((0, 0)), grid, backward=backward)
         gv = np.zeros((grid.offsets[-1], 0))
         X = _sweep(tables, gv, np.zeros(0), backward=backward)
-        assert X.shape == (len(grid), 0)
+        assert X.shape == (len(grid.ts), 0)
 
 
 def _kernels(B, delta, cache):
@@ -783,13 +784,13 @@ def _kernels(B, delta, cache):
 
 
 def forward_sweep(B, grid, gvals, init):
-    X = np.zeros((len(grid), B.shape[0]))
+    X = np.zeros((len(grid.ts), B.shape[0]))
     X[0] = init
     cache: dict = {}
-    for p, g in zip(grid.panels, gvals):
-        E1, E2, E1inv = _kernels(B, p.delta, cache)
-        base, dl = p.start, p.delta
-        for q in range(0, p.n_sub, 2):
+    for base, n_sub, dl, g in zip(grid.start, grid.n_sub, grid.delta.tolist(),
+                                  gvals):
+        E1, E2, E1inv = _kernels(B, dl, cache)
+        for q in range(0, n_sub, 2):
             g0, g1, g2 = g[q], g[q + 1], g[q + 2]
             x0 = X[base + q]
             X[base + q + 1] = E1 @ x0 + (dl / 12.0) * (
@@ -800,14 +801,14 @@ def forward_sweep(B, grid, gvals, init):
 
 
 def backward_sweep(B, grid, gvals, terminal):
-    N = len(grid)
+    N = len(grid.ts)
     X = np.zeros((N, B.shape[0]))
     X[N - 1] = terminal
     cache: dict = {}
-    for p, g in zip(reversed(grid.panels), reversed(gvals)):
-        E1b, E2b, E1binv = _kernels(-B, p.delta, cache)
-        base, dl = p.start, p.delta
-        for q in range(p.n_sub - 2, -1, -2):
+    for base, n_sub, dl, g in zip(grid.start[::-1], grid.n_sub[::-1],
+                                  grid.delta[::-1].tolist(), gvals[::-1]):
+        E1b, E2b, E1binv = _kernels(-B, dl, cache)
+        for q in range(n_sub - 2, -1, -2):
             g0, g1, g2 = g[q], g[q + 1], g[q + 2]
             x2 = X[base + q + 2]
             X[base + q + 1] = E1b @ x2 - (dl / 12.0) * (
@@ -815,6 +816,121 @@ def backward_sweep(B, grid, gvals, terminal):
             X[base + q] = E2b @ x2 - (dl / 3.0) * (
                 g0 + 4.0 * (E1b @ g1) + E2b @ g2)
     return X
+
+
+def reference_grid(sched, t_lo, t_hi, max_h):
+    """The panel grid built one panel at a time: a ``np.linspace`` and an
+    ``interval_index`` per panel, then the anchor's node by search."""
+    cuts = sorted({t_lo, t_hi} | {float(t) for t in np.concatenate(
+        [sched.thetas, sched.zetas]) if t_lo < t < t_hi})
+    nodes, panels = [np.array([t_lo])], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        n_sub = 2 * max(1, int(np.ceil((b - a) / (2 * max_h) - 1e-12)))
+        nodes.append(np.linspace(a, b, n_sub + 1)[1:])
+        t_beta = sched.beta(0.5 * (a + b))
+        panels.append((sum(p[1] for p in panels), n_sub, (b - a) / n_sub,
+                       t_beta))
+    ts = np.concatenate(nodes)
+    beta_idx = [int(np.argmin(np.abs(ts - t_beta))) for *_, t_beta in panels]
+    return dict(
+        ts=ts, start=[p[0] for p in panels], n_sub=[p[1] for p in panels],
+        delta=[p[2] for p in panels], beta_idx=beta_idx,
+        rows=np.concatenate([np.arange(p[0], p[0] + p[1] + 1) for p in panels]),
+        betas=np.repeat(beta_idx, [p[1] + 1 for p in panels]),
+        offsets=np.cumsum([0] + [p[1] + 1 for p in panels]))
+
+
+@st.composite
+def schedules(draw):
+    if draw(st.booleans()):
+        return make_schedule(
+            "randomized", window=(0, draw(st.integers(2, 40))),
+            theta_bound=draw(st.floats(0.05, 3.0)),
+            seed=draw(st.integers(0, 2**16)),
+            t_start=draw(st.floats(-50.0, 50.0)))
+    gaps = draw(st.lists(st.floats(0.01, 2.0), min_size=1, max_size=30))
+    thetas = draw(st.floats(-20.0, 20.0)) + np.concatenate(
+        ([0.0], np.cumsum(gaps)))
+    # anchors at either end of their interval or strictly inside it
+    u = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 0.3, 0.71]),
+                               min_size=len(gaps), max_size=len(gaps))))
+    zetas = np.where(u == 1.0, thetas[1:], thetas[:-1] + u * np.diff(thetas))
+    return make_schedule("explicit", thetas=thetas, zetas=zetas)
+
+
+class TestPanelGrid:
+    """The grid laid out in one vectorized pass: its invariants on random
+    schedules and windows, and the per-panel construction it replaced."""
+
+    WINDOWS = {
+        "epca": (lambda: make_schedule("epca", window=(-40, 12)), -20.0, 4.0),
+        "alternating": (lambda: make_schedule("alternating", window=(-2, 6)),
+                        -5.0, 10.7),
+        "randomized": (lambda: SCHEDULES["randomized"](), -39.3, -19.0),
+        "explicit": (lambda: make_schedule(
+            "explicit", thetas=[0.0, 0.3, 1.1, 1.5, 2.7, 3.0, 3.05, 4.0],
+            zetas=[0.3, 0.5, 1.5, 2.0, 3.0, 3.05, 3.5]), 0.3, 3.5),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WINDOWS))
+    @pytest.mark.parametrize("max_h", [0.05, 0.1, 0.37])
+    def test_matches_the_per_panel_construction(self, kind, max_h):
+        make, t_lo, t_hi = self.WINDOWS[kind]
+        sched = make()
+        if kind == "randomized":  # a window from a breakpoint to an anchor
+            t_lo, t_hi = _snap_down(sched, t_lo), sched.beta(t_hi)
+        grid = _PanelGrid(sched, t_lo, t_hi, max_h)
+        for name, want in reference_grid(sched, t_lo, t_hi, max_h).items():
+            got = getattr(grid, name)
+            assert np.array_equal(got, want), name
+            assert got.dtype == np.asarray(want).dtype, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(sched=schedules(), data=st.data())
+    def test_grid_invariants(self, sched, data):
+        n = len(sched.zetas)
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(i, n - 1))
+        # the windows the graph maps use: from an anchor to a breakpoint
+        # (F), from a breakpoint to an anchor (G), or between breakpoints
+        form = data.draw(st.sampled_from(["F", "G", "theta"]))
+        t_lo = float(sched.zetas[i] if form == "F" else sched.thetas[i])
+        t_hi = float(sched.zetas[j] if form == "G" else sched.thetas[j + 1])
+        assume(t_lo < t_hi)
+        max_h = data.draw(st.floats(0.02, 1.5))
+        grid = _PanelGrid(sched, t_lo, t_hi, max_h)
+        ts = grid.ts
+        assert np.all(np.diff(ts) > 0)
+        assert ts[0] == t_lo and ts[-1] == t_hi
+        marks = np.concatenate([sched.thetas, sched.zetas])
+        assert np.isin(marks[(t_lo < marks) & (marks < t_hi)], ts).all()
+        assert np.all(grid.n_sub % 2 == 0) and np.all(grid.n_sub >= 2)
+        # the sub-step count rounds (b - a) / (2 max_h) up with 1e-12 slack
+        assert np.all(grid.delta <= max_h * (1 + 1e-11))
+        ends = np.append(grid.start, len(ts) - 1)
+        assert np.array_equal(np.diff(ends), grid.n_sub)
+        mids = 0.5 * (ts[ends[:-1]] + ts[ends[1:]])
+        assert [ts[b] for b in grid.beta_idx] == [sched.beta(m) for m in mids]
+        # samples: each panel's nodes in order, tagged with its anchor
+        assert grid.offsets[-1] == len(grid.rows) == len(grid.betas)
+        for p, (lo, hi) in enumerate(zip(grid.offsets, grid.offsets[1:])):
+            assert np.array_equal(grid.rows[lo:hi],
+                                  np.arange(ends[p], ends[p + 1] + 1))
+            assert set(grid.betas[lo:hi]) == {grid.beta_idx[p]}
+
+    @pytest.mark.parametrize("kind", sorted(WINDOWS))
+    def test_window_past_the_schedule_raises(self, kind):
+        sched = self.WINDOWS[kind][0]()
+        with pytest.raises(ScheduleWindowError):
+            _PanelGrid(sched, sched.zetas[-1], sched.t_max + 0.5, 0.1)
+        with pytest.raises(ScheduleWindowError):
+            _PanelGrid(sched, sched.t_min - 0.5, sched.thetas[1], 0.1)
+
+    def test_anchor_outside_the_window_raises(self):
+        sched = self.WINDOWS["alternating"][0]()  # anchors mid-interval
+        with pytest.raises(ParameterError, match="anchor time 2.0 of interval "
+                                                 "1 is not covered"):
+            _PanelGrid(sched, 1.0, 1.5, 0.1)
 
 
 class TestCenterEvaluatorAdvancedAnchors:
@@ -911,16 +1027,6 @@ class TestStackedNonlinearity:
                      [0.5], horizon=20.0, tol=1e-10, quad_step=0.1)
         assert len(calls) == len(res.deltas) >= 3
 
-    def test_panel_samples_follow_the_grid(self):
-        sched = SCHEDULES["alternating"]()
-        grid = _PanelGrid(sched, -6.0, 4.5, 0.1)
-        assert grid.offsets[-1] == len(grid.rows) == len(grid.betas)
-        for p, lo, hi in zip(grid.panels, grid.offsets, grid.offsets[1:]):
-            assert list(grid.rows[lo:hi]) == list(range(p.start,
-                                                        p.start + p.n_sub + 1))
-            assert set(grid.betas[lo:hi]) == {p.beta_idx}
-            assert grid.ts[p.beta_idx] == pytest.approx(p.t_beta, abs=1e-10)
-
 
 # ---------------------------------------------------------------------------
 # the unshifted iteration against the shifted one it replaced
@@ -931,13 +1037,14 @@ def parent_picard(Bp, Bm, gfun, grid, u0, v_end, tol, max_iter):
     nonlinearity gfun(t, z, w, t_beta) on stacked per-node arguments,
     gathered panel by panel and node by node."""
     k = Bp.shape[0]
-    Z = np.zeros((len(grid), k + Bm.shape[0]))
+    Z = np.zeros((len(grid.ts), k + Bm.shape[0]))
     fwd = _sweep_tables(Bp, grid)
     bwd = _sweep_tables(Bm, grid, backward=True)
     deltas = []
     for _ in range(max_iter):
-        args = [(grid.ts[p.start + q], Z[p.start + q], Z[p.beta_idx], p.t_beta)
-                for p in grid.panels for q in range(p.n_sub + 1)]
+        args = [(grid.ts[start + q], Z[start + q], Z[b], grid.ts[b])
+                for start, n_sub, b in zip(grid.start, grid.n_sub, grid.beta_idx)
+                for q in range(n_sub + 1)]
         g = gfun(*map(np.array, zip(*args)))
         U = _sweep(fwd, g[:, :k], u0)
         V = _sweep(bwd, g[:, k:], v_end, backward=True)

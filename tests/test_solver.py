@@ -14,7 +14,7 @@ from epcag import (
     solve_forward,
 )
 from epcag.errors import BlowUpError, NonContractionError
-from epcag.solver import _march
+from epcag.solver import _march, _node_grid, _rk4_path
 
 E3 = math.exp(3.0)
 
@@ -217,6 +217,38 @@ def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+class TestIntegrateIntervalWork:
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_data_point_at_an_end_takes_one_rhs_per_stage(self, forward,
+                                                          stacked, monkeypatch):
+        # a forward march enters an interval at its left end, a backward
+        # one at its right end: the one-node side reuses the other side's
+        # first derivative, and the path is the one RK4 pass across
+        sys = small_random_system(np.random.default_rng(5), 2, 0.15)
+        sched = make_schedule("alternating", window=(0, 3))  # [1, 3], zeta 2
+        z = np.array([[0.9, -0.6], [0.2, 0.4], [-0.5, 0.1]])
+        w = z[::-1] + 0.1
+        if not stacked:
+            z, w = z[0], w[0]
+        t_a = 1.0 if forward else 3.0
+        nodes = _node_grid(1.0, 3.0, 2.0, 0.1)
+        want = _rk4_path(sys, nodes if forward else nodes[::-1], z, w, 1)
+        calls = []
+        rhs = HybridSystem.rhs
+
+        def counted(self, t, z, w):
+            calls.append(t)
+            return rhs(self, t, z, w)
+
+        monkeypatch.setattr(HybridSystem, "rhs", counted)
+        seg = integrate_interval(sys, sched, 1, t_a, z, w, 0.1)
+        assert len(calls) == 4 * 20 + 1
+        assert same_bits(seg.ts, nodes)
+        for got, ref in zip((seg.zs, seg.dzs), want):
+            assert same_bits(got, ref if forward else ref[::-1])
+
+
 class TestSolveAnchorWork:
     """Span-only sweeps and the explicit-anchor shortcut change the work,
     never the numbers."""
@@ -265,9 +297,9 @@ class TestSolveAnchorWork:
         z = np.array([0.7])
         calls.clear()
         res = solve_anchor(sys, sched, 1, 1.0, z, 0.1, 1e-12)
-        # ten RK4 steps of four calls each, the first node's derivative, and
-        # the derivative at the (empty) left path's only node
-        assert len(calls) == 4 * 10 + 2
+        # ten RK4 steps of four calls each and the first node's derivative;
+        # the one-node left path takes none of its own
+        assert len(calls) == 4 * 10 + 1
         assert (res.iterations, res.deltas, res.ratios) == (1, [0.0], [])
         assert same_bits(res.w, z)
 
@@ -284,7 +316,7 @@ class TestSolveAnchorWork:
         res = solve_anchor(sys, sched, 0, -1.0, np.array([0.7]), 0.1, 1e-12)
         # the span [-1, 0] takes ten steps; the seeding pass and every sweep
         # walk it, then the full interval [-1, 1] is integrated once
-        span, full = 4 * 10 + 1, 4 * 20 + 2
+        span, full = 4 * 10 + 1, 4 * 20 + 1
         assert res.iterations > 2
         assert len(calls) == (res.iterations + 1) * span + full
         assert max(calls[:-full]) <= 0.0
