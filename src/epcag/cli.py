@@ -62,7 +62,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    status = run(config, args.out)
+    try:
+        status = run(config, args.out)
+    except OSError as exc:  # the output directory or its records
+        print(f"error: cannot write output directory: {exc}", file=sys.stderr)
+        return 2
     if status != 0:
         print(f"run failed (status {status}); see report.json", file=sys.stderr)
     return status

@@ -7,8 +7,11 @@ On each interval [theta_i, theta_{i+1}) the equation reads
 
 so once the anchor value w is known the interval problem is an ordinary ODE.
 When zeta_i lies ahead of the data point, w is implicit and is resolved by a
-fixed-point iteration on the single vector w (``solve_anchor``).  Forward and
-backward continuation then march interval by interval.
+fixed-point iteration on the single vector w (``solve_anchor``), whose sweeps
+integrate only the leg from the data point to zeta_i.  The settling sweep's
+leg is kept as part of the interval's segment, so only the rest of the
+interval is integrated once w is found.  Forward and backward continuation
+then march interval by interval.
 
 The marcher takes one state ``(n,)`` or stacked rows ``(m, n)`` that share
 the start time, the schedule and the step (the stability star): the rows
@@ -306,48 +309,70 @@ def _node_grid(a: float, b: float, split_at: Optional[float], h: float) -> np.nd
 
 
 def _rk4_path(sys: HybridSystem, ts: np.ndarray, z0: np.ndarray, w: np.ndarray,
-              interval: int):
+              interval: int, dz0=None):
     """Classical fourth-order steps along the (possibly descending) node list.
 
-    ``z0`` and ``w`` are one state or stacked rows (one w per row).  A lone
-    state that turns non-finite raises :class:`BlowUpError`; a stacked row
-    that does is nan from that node on, and the other rows retake the step
-    without it.
+    ``z0`` and ``w`` are one state or stacked rows (one w per row); ``dz0``,
+    the derivative at the first node when the caller has it, spares that
+    node's rhs.  A lone state that turns non-finite raises
+    :class:`BlowUpError`; a stacked row that does is nan from that node on,
+    and the other rows retake the step without it.
     """
+    from math import isfinite
+
     n = len(ts)
     zs = np.empty((n,) + z0.shape)
     dzs = np.empty((n,) + z0.shape)
     zs[0] = z0
+    rhs = sys.rhs
+    tl = ts.tolist()  # Python floats: the same IEEE arithmetic, less overhead
     with np.errstate(over="ignore", invalid="ignore"):
-        dzs[0] = sys.rhs(ts[0], z0, w)
+        dzs[0] = rhs(tl[0], z0, w) if dz0 is None else dz0
+        z, k1 = zs[0], dzs[0]
         for j in range(n - 1):
-            t, z = ts[j], zs[j]
-            h = ts[j + 1] - t
-            k1 = dzs[j]
-            k2 = sys.rhs(t + h / 2, z + (h / 2) * k1, w)
-            k3 = sys.rhs(t + h / 2, z + (h / 2) * k2, w)
-            k4 = sys.rhs(t + h, z + h * k3, w)
+            t = tl[j]
+            h = tl[j + 1] - t
+            k2 = rhs(t + h / 2, z + (h / 2) * k1, w)
+            k3 = rhs(t + h / 2, z + (h / 2) * k2, w)
+            k4 = rhs(t + h, z + h * k3, w)
             znext = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.isfinite(znext).all():
+            if not all(map(isfinite, znext.ravel().tolist())):
                 if z0.ndim == 1:
-                    raise BlowUpError(float(t), interval=interval)
+                    raise BlowUpError(t, interval=interval)
                 rest = _rows_path(sys, ts[j:], z, w, interval,
                                   np.isfinite(znext).all(axis=1))
                 zs[j + 1:], dzs[j + 1:] = rest[0][1:], rest[1][1:]
                 return zs, dzs
-            zs[j + 1] = znext
-            dzs[j + 1] = sys.rhs(ts[j + 1], znext, w)
+            zs[j + 1] = z = znext
+            dzs[j + 1] = k1 = rhs(tl[j + 1], znext, w)
     return zs, dzs
 
 
-def _rows_path(sys, ts, z0, w, interval, rows):
-    """:func:`_rk4_path` of the stacked rows selected by the mask ``rows``;
+def _two_legs(sys, ts, z0, w, interval, k=0, leg=None):
+    """:func:`_rk4_path` along ``ts`` in two legs joined at node k: the
+    first is ``leg`` ``(zs, dzs)`` when given, and the second starts from
+    the first's last node and derivative.  That is the arithmetic of one
+    pass across, so the path is the same bit for bit; k = 0 is that one
+    pass."""
+    if k == 0:
+        return _rk4_path(sys, ts, z0, w, interval)
+    if leg is None:
+        leg = _rk4_path(sys, ts[:k + 1], z0, w, interval)
+    if k + 1 == len(ts):
+        return leg
+    zs, dzs = _rk4_path(sys, ts[k:], leg[0][-1], w, interval, leg[1][-1])
+    return np.concatenate([leg[0], zs[1:]]), np.concatenate([leg[1], dzs[1:]])
+
+
+def _rows_path(sys, ts, z0, w, interval, rows, k=0, leg=None):
+    """:func:`_two_legs` of the stacked rows selected by the mask ``rows``;
     the other rows are nan."""
     zs = np.full((len(ts),) + z0.shape, np.nan)
     dzs = zs.copy()
     if rows.any():
-        zs[:, rows], dzs[:, rows] = _rk4_path(sys, ts, z0[rows], w[rows],
-                                              interval)
+        zs[:, rows], dzs[:, rows] = _two_legs(
+            sys, ts, z0[rows], w[rows], interval, k,
+            None if leg is None else (leg[0][:, rows], leg[1][:, rows]))
     return zs, dzs
 
 
@@ -373,17 +398,28 @@ def _interval_step(sched: ArgumentSchedule, i: int, t_anchor: float,
     return min(step, (th_hi - th_lo) / 4.0)
 
 
+def _anchor_span(t_anchor: float, zeta: float, h: float) -> np.ndarray:
+    """The nodes from the data point to zeta_i, in marching order: the
+    stretch of :func:`integrate_interval`'s grid that bears on w."""
+    span = _node_grid(min(t_anchor, zeta), max(t_anchor, zeta), None, h)
+    return span if zeta >= t_anchor else span[::-1]
+
+
 def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
                        t_anchor: float, z_anchor: np.ndarray, w: np.ndarray,
-                       step: float) -> Segment:
+                       step: float, leg=None) -> Segment:
     """Integrate z' = A z + f(t, z, w) with w frozen over all of interval i.
 
     Runs from the data point (t_anchor, z_anchor) towards both interval
     endpoints; nodes land exactly on theta_i, theta_{i+1} and zeta_i.  The
-    step is clamped to a quarter of the interval length.  Stacked rows
-    (``z_anchor`` and ``w`` of shape ``(m, n)``) share the nodes; a row that
-    blows up on the right is not taken left, where a lone state would have
-    raised already.
+    step is clamped to a quarter of the interval length.  The side that
+    holds zeta_i runs in two legs joined there: the anchor leg from the data
+    point to zeta_i, then on to the interval end from the leg's last node
+    and derivative.  ``leg``, the anchor leg's ``(zs, dzs)`` already
+    integrated with this w (by :func:`solve_anchor`'s settling sweep), is
+    taken as it is.  Stacked rows (``z_anchor`` and ``w`` of shape
+    ``(m, n)``) share the nodes; a row that blows up on the right is not
+    taken left, where a lone state would have raised already.
     """
     h = _interval_step(sched, i, t_anchor, step)
     th_lo, th_hi = sched.theta(i), sched.theta(i + 1)
@@ -393,21 +429,25 @@ def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
 
     right_ts = _node_grid(t_anchor, th_hi, zeta, h)
     left_ts = _node_grid(th_lo, t_anchor, zeta, h)[::-1]  # descending from anchor
+    # (k, leg) of each side: zeta_i's node and the anchor leg on the side
+    # that holds it, a single pass on the other
+    near = (len(_anchor_span(t_anchor, zeta, h)) - 1, leg)
+    right, left = (near, ()) if zeta >= t_anchor else ((), near)
 
     # a one-node side is the other side's first entry: the same data point
     # and rhs(t_anchor, z_anchor, w), so it takes no rhs of its own
     if len(right_ts) == 1:  # the data point is the right end
-        zs_l, dzs_l = _rk4_path(sys, left_ts, z_anchor, w, i)
+        zs_l, dzs_l = _two_legs(sys, left_ts, z_anchor, w, i, *left)
         zs_r, dzs_r = zs_l[:1], dzs_l[:1]
     else:
-        zs_r, dzs_r = _rk4_path(sys, right_ts, z_anchor, w, i)
+        zs_r, dzs_r = _two_legs(sys, right_ts, z_anchor, w, i, *right)
         if len(left_ts) == 1:  # the data point is the left end
             zs_l, dzs_l = zs_r[:1], dzs_r[:1]
         elif z_anchor.ndim == 1:
-            zs_l, dzs_l = _rk4_path(sys, left_ts, z_anchor, w, i)
+            zs_l, dzs_l = _two_legs(sys, left_ts, z_anchor, w, i, *left)
         else:
             zs_l, dzs_l = _rows_path(sys, left_ts, z_anchor, w, i,
-                                     np.isfinite(zs_r[-1]).all(axis=1))
+                                     np.isfinite(zs_r[-1]).all(axis=1), *left)
 
     ts = np.concatenate([left_ts[::-1][:-1], right_ts])
     zs = np.concatenate([zs_l[::-1][:-1], zs_r])
@@ -447,19 +487,21 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     to zeta_i bears on it.  Each sweep integrates that stretch alone, on the
     nodes :func:`integrate_interval` lays there (so values agree bit for
     bit): first with the w-slot frozen at z_anchor, then with the current w.
-    Once consecutive values differ by less than tol, the whole interval is
-    integrated once with the last sweep's input w; ``AnchorResult.w`` is that
-    sweep's output.  An explicit anchor (zeta_i = t_anchor) takes no step
-    until that one integration.  Raises :class:`NonContractionError` with
-    the observed ratio sequence when the iteration fails to settle; a
-    blow-up outside the stretch surfaces from the final integration.
+    Once consecutive values differ by less than tol, the settling sweep's
+    path is kept as the segment's anchor leg, and :func:`integrate_interval`
+    with that sweep's input w integrates the rest of the interval once;
+    ``AnchorResult.w`` is that sweep's output.  An explicit anchor
+    (zeta_i = t_anchor) has no leg and takes no step until that one
+    integration.  Raises :class:`NonContractionError` with the observed
+    ratio sequence when the iteration fails to settle; a blow-up outside the
+    stretch surfaces from the final integration.
 
     Stacked rows ``z_anchor`` of shape ``(m, n)`` share the sweeps but
-    iterate each on its own: a settled row is frozen and later sweeps take
-    only the rows still open, so every row gets the w, iteration count,
-    deltas and ratios it gets alone.  A row's failure does not raise; it is
-    recorded in ``AnchorResult.errors``.  The settled rows are integrated
-    together once.
+    iterate each on its own: a settled row is frozen, with its path from the
+    sweep it settled at, and later sweeps take only the rows still open, so
+    every row gets the w, iteration count, deltas, ratios and segment it
+    gets alone.  A row's failure does not raise; it is recorded in
+    ``AnchorResult.errors``.  The settled rows are integrated together once.
 
     Contraction is guaranteed when the smallness report of the analysis
     module passes; when it does not, continuation may genuinely fail or be
@@ -468,22 +510,24 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     zeta = sched.zeta(i)
     z_anchor = np.array(z_anchor, dtype=float)  # a copy: it may come back as w
     h = _interval_step(sched, i, t_anchor, step)
-    span = _node_grid(min(t_anchor, zeta), max(t_anchor, zeta), None, h)
-    span = span if zeta >= t_anchor else span[::-1]
+    span = _anchor_span(t_anchor, zeta, h)
     one = z_anchor.ndim == 1
     Z = np.atleast_2d(z_anchor)  # a lone state is a stack of one row here
     m = len(Z)
     errors: list = [None] * m
+    path = None  # the last sweep's (zs, dzs) over the span
 
     def sweep(rows):  # values at zeta_i of ``rows``, w-slots frozen at W
+        nonlocal path
         if len(span) == 1:
             return Z[rows]
         if one:  # a lone state raises its own BlowUpError
-            return _rk4_path(sys, span, z_anchor, W[0], i)[0][-1:]
-        zs = _rk4_path(sys, span, Z[rows], W[rows], i)[0]
-        for r, t in _blow_ups(span, zs):
+            path = _rk4_path(sys, span, z_anchor, W[0], i)
+            return path[0][-1:]
+        path = _rk4_path(sys, span, Z[rows], W[rows], i)
+        for r, t in _blow_ups(span, path[0]):
             errors[rows[r]] = BlowUpError(t, interval=i)
-        return zs[-1]
+        return path[0][-1]
 
     W = Z
     W = sweep(np.arange(m))
@@ -491,12 +535,14 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     deltas: list = [[] for _ in range(m)]
     ratios: list = [[] for _ in range(m)]
     settled: dict = {}  # row -> (the settling sweep's input w, its output)
+    # each stacked row's anchor leg, copied from the sweep it settles at
+    legs = None if one or path is None else np.empty((2,) + path[0].shape)
     rows = [r for r in range(m) if errors[r] is None]
     for _ in range(max_iter):
         if not rows:
             break
         still = []
-        for r, w_next in zip(rows, sweep(rows)):
+        for k, (r, w_next) in enumerate(zip(rows, sweep(rows))):
             if errors[r] is not None:
                 continue
             delta = float(np.linalg.norm(w_next - W[r]))
@@ -508,6 +554,8 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
                                                 interval=i, max_iter=max_iter)
             elif delta < tol:
                 settled[r] = W[r], w_next
+                if legs is not None:
+                    legs[0][:, r], legs[1][:, r] = path[0][:, k], path[1][:, k]
             else:
                 W[r] = w_next
                 still.append(r)
@@ -519,7 +567,8 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
         if errors[0] is not None:
             raise errors[0]
         w, w_next = settled[0]
-        seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, w, step)
+        seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, w, step,
+                                 path)
         return AnchorResult(w=w_next, iterations=len(deltas[0]),
                             last_delta=deltas[0][-1], deltas=deltas[0],
                             ratios=ratios[0], segment=seg)
@@ -530,7 +579,8 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     ok = sorted(settled)
     if ok:
         part = integrate_interval(sys, sched, i, t_anchor, Z[ok], W_in[ok],
-                                  step)
+                                  step, None if legs is None else
+                                  (legs[0][:, ok], legs[1][:, ok]))
         zs = np.full((len(part.ts), m, Z.shape[1]), np.nan)
         dzs = zs.copy()
         zs[:, ok], dzs[:, ok] = part.zs, part.dzs
@@ -637,10 +687,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     header = "t," + ",".join(f"z_{j + 1}" for j in range(n)) + ",interval_index"
     lines = [header]
     for seg in traj.segments:
-        for t, z in zip(seg.ts, seg.zs):
-            if lo - 1e-12 <= t <= hi + 1e-12:
-                cells = [repr(float(t))] + [repr(float(v)) for v in z]
-                lines.append(",".join(cells) + f",{seg.index}")
+        keep = (lo - 1e-12 <= seg.ts) & (seg.ts <= hi + 1e-12)
+        rows = np.column_stack([seg.ts, seg.zs])[keep].tolist()
+        lines.extend(",".join(map(repr, row)) + f",{seg.index}" for row in rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

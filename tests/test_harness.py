@@ -297,6 +297,17 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_unwritable_output_directory_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(simulate_config()))
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(plain / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("error: cannot write output directory")
+
     def test_internal_error_exits_1_with_a_record(self, tmp_path, capsys,
                                                   monkeypatch):
         def broken(*args, **kwargs):

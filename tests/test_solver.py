@@ -285,6 +285,41 @@ class TestSolveAnchorWork:
         assert zeta_sides == ({-1} if not forward else
                               {-1, 0} if kind == "epca" else {-1, 1})
 
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_stacked_rows_bitwise_equal_to_their_lone_solves(self, forward):
+        # rows of different size settle at different sweeps, so each row's
+        # anchor leg comes from a different sweep of the stack
+        sys = small_random_system(np.random.default_rng(5), 2, 0.15)
+        sched = make_schedule("randomized", window=(0, 8), theta_bound=1.0,
+                              seed=31)
+        intervals = range(0, 8) if forward else range(7, -1, -1)
+        t_a = 0.5 * (sched.zeta(0) + sched.theta(1)) if forward else sched.t_max
+        Z = np.array([[0.9, -0.6], [1e-3, 2e-3], [-2.0, 1.5], [0.0, 0.0]])
+        spread = 0
+        for i in intervals:
+            res = solve_anchor(sys, sched, i, t_a, Z, 0.05, 1e-12)
+            assert res.live.all()
+            spread = max(spread, len({len(d) for d in res.deltas}))
+            for r, z in enumerate(Z):
+                one = solve_anchor(sys, sched, i, t_a, z, 0.05, 1e-12)
+                w, m, deltas, ratios, seg = two_pass_anchor(
+                    sys, sched, i, t_a, z, 0.05, 1e-12)
+                assert same_bits(res.w[r], one.w) and same_bits(one.w, w)
+                assert (res.deltas[r], res.ratios[r]) == (one.deltas,
+                                                          one.ratios)
+                assert (one.iterations, one.deltas, one.ratios) == (
+                    m, deltas, ratios)
+                assert same_bits(res.segment.ts, one.segment.ts)
+                assert same_bits(one.segment.ts, seg.ts)
+                for name in ("zs", "dzs"):
+                    row = getattr(res.segment, name)[:, r]
+                    assert same_bits(row, getattr(one.segment, name))
+                    assert same_bits(row, getattr(seg, name))
+                assert same_bits(res.segment.w[r], one.segment.w)
+            t_a = sched.theta(i + 1) if forward else sched.theta(i)
+            Z = res.segment.value_at_node(t_a)
+        assert spread > 2
+
     def test_explicit_anchor_integrates_once(self):
         calls = []
 
@@ -315,11 +350,13 @@ class TestSolveAnchorWork:
         calls.clear()
         res = solve_anchor(sys, sched, 0, -1.0, np.array([0.7]), 0.1, 1e-12)
         # the span [-1, 0] takes ten steps; the seeding pass and every sweep
-        # walk it, then the full interval [-1, 1] is integrated once
-        span, full = 4 * 10 + 1, 4 * 20 + 1
+        # walk it, then the settling sweep's path is kept and only [0, 1] is
+        # integrated, from the span's last node and derivative
+        span, rest = 4 * 10 + 1, 4 * 10
         assert res.iterations > 2
-        assert len(calls) == (res.iterations + 1) * span + full
-        assert max(calls[:-full]) <= 0.0
+        assert len(calls) == (res.iterations + 1) * span + rest
+        assert max(calls[:-rest]) <= 0.0
+        assert 0.0 <= min(calls[-rest:]) and max(calls[-rest:]) <= 1.0
 
     def test_blowup_beyond_the_anchor_surfaces_at_final_integration(self):
         def f(t, z, w):
