@@ -34,6 +34,7 @@ nonlinearity is a pure function of its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -318,8 +319,6 @@ def _rk4_path(sys: HybridSystem, ts: np.ndarray, z0: np.ndarray, w: np.ndarray,
     :class:`BlowUpError`; a stacked row that does is nan from that node on,
     and the other rows retake the step without it.
     """
-    from math import isfinite
-
     n = len(ts)
     zs = np.empty((n,) + z0.shape)
     dzs = np.empty((n,) + z0.shape)
@@ -348,30 +347,28 @@ def _rk4_path(sys: HybridSystem, ts: np.ndarray, z0: np.ndarray, w: np.ndarray,
     return zs, dzs
 
 
-def _two_legs(sys, ts, z0, w, interval, k=0, leg=None):
-    """:func:`_rk4_path` along ``ts`` in two legs joined at node k: the
-    first is ``leg`` ``(zs, dzs)`` when given, and the second starts from
-    the first's last node and derivative.  That is the arithmetic of one
-    pass across, so the path is the same bit for bit; k = 0 is that one
-    pass."""
-    if k == 0:
-        return _rk4_path(sys, ts, z0, w, interval)
+def _two_legs(sys, ts, z0, w, interval, leg=None):
+    """:func:`_rk4_path` along ``ts``.  ``leg``, when given, is the path
+    ``(zs, dzs)`` over the first nodes, and the rest starts from its last
+    node and derivative: the arithmetic of one pass across, so the path is
+    the same bit for bit."""
     if leg is None:
-        leg = _rk4_path(sys, ts[:k + 1], z0, w, interval)
+        return _rk4_path(sys, ts, z0, w, interval)
+    k = len(leg[0]) - 1
     if k + 1 == len(ts):
         return leg
     zs, dzs = _rk4_path(sys, ts[k:], leg[0][-1], w, interval, leg[1][-1])
     return np.concatenate([leg[0], zs[1:]]), np.concatenate([leg[1], dzs[1:]])
 
 
-def _rows_path(sys, ts, z0, w, interval, rows, k=0, leg=None):
+def _rows_path(sys, ts, z0, w, interval, rows, leg=None):
     """:func:`_two_legs` of the stacked rows selected by the mask ``rows``;
     the other rows are nan."""
     zs = np.full((len(ts),) + z0.shape, np.nan)
     dzs = zs.copy()
     if rows.any():
         zs[:, rows], dzs[:, rows] = _two_legs(
-            sys, ts, z0[rows], w[rows], interval, k,
+            sys, ts, z0[rows], w[rows], interval,
             None if leg is None else (leg[0][:, rows], leg[1][:, rows]))
     return zs, dzs
 
@@ -398,13 +395,6 @@ def _interval_step(sched: ArgumentSchedule, i: int, t_anchor: float,
     return min(step, (th_hi - th_lo) / 4.0)
 
 
-def _anchor_span(t_anchor: float, zeta: float, h: float) -> np.ndarray:
-    """The nodes from the data point to zeta_i, in marching order: the
-    stretch of :func:`integrate_interval`'s grid that bears on w."""
-    span = _node_grid(min(t_anchor, zeta), max(t_anchor, zeta), None, h)
-    return span if zeta >= t_anchor else span[::-1]
-
-
 def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
                        t_anchor: float, z_anchor: np.ndarray, w: np.ndarray,
                        step: float, leg=None) -> Segment:
@@ -412,14 +402,13 @@ def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
 
     Runs from the data point (t_anchor, z_anchor) towards both interval
     endpoints; nodes land exactly on theta_i, theta_{i+1} and zeta_i.  The
-    step is clamped to a quarter of the interval length.  The side that
-    holds zeta_i runs in two legs joined there: the anchor leg from the data
-    point to zeta_i, then on to the interval end from the leg's last node
-    and derivative.  ``leg``, the anchor leg's ``(zs, dzs)`` already
-    integrated with this w (by :func:`solve_anchor`'s settling sweep), is
-    taken as it is.  Stacked rows (``z_anchor`` and ``w`` of shape
-    ``(m, n)``) share the nodes; a row that blows up on the right is not
-    taken left, where a lone state would have raised already.
+    step is clamped to a quarter of the interval length.  ``leg``, when
+    given, is the anchor leg ``(zs, dzs)`` from the data point to zeta_i,
+    already integrated with this w (by :func:`solve_anchor`'s settling
+    sweep): it is taken as it is, and the side that holds zeta_i goes on
+    from its last node and derivative.  Stacked rows (``z_anchor`` and
+    ``w`` of shape ``(m, n)``) share the nodes; a row that blows up on the
+    right is not taken left, where a lone state would have raised already.
     """
     h = _interval_step(sched, i, t_anchor, step)
     th_lo, th_hi = sched.theta(i), sched.theta(i + 1)
@@ -429,25 +418,24 @@ def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
 
     right_ts = _node_grid(t_anchor, th_hi, zeta, h)
     left_ts = _node_grid(th_lo, t_anchor, zeta, h)[::-1]  # descending from anchor
-    # (k, leg) of each side: zeta_i's node and the anchor leg on the side
-    # that holds it, a single pass on the other
-    near = (len(_anchor_span(t_anchor, zeta, h)) - 1, leg)
-    right, left = (near, ()) if zeta >= t_anchor else ((), near)
+    # the anchor leg starts the side that holds zeta_i
+    right_leg, left_leg = (leg, None) if zeta >= t_anchor else (None, leg)
 
     # a one-node side is the other side's first entry: the same data point
     # and rhs(t_anchor, z_anchor, w), so it takes no rhs of its own
     if len(right_ts) == 1:  # the data point is the right end
-        zs_l, dzs_l = _two_legs(sys, left_ts, z_anchor, w, i, *left)
+        zs_l, dzs_l = _two_legs(sys, left_ts, z_anchor, w, i, left_leg)
         zs_r, dzs_r = zs_l[:1], dzs_l[:1]
     else:
-        zs_r, dzs_r = _two_legs(sys, right_ts, z_anchor, w, i, *right)
+        zs_r, dzs_r = _two_legs(sys, right_ts, z_anchor, w, i, right_leg)
         if len(left_ts) == 1:  # the data point is the left end
             zs_l, dzs_l = zs_r[:1], dzs_r[:1]
         elif z_anchor.ndim == 1:
-            zs_l, dzs_l = _two_legs(sys, left_ts, z_anchor, w, i, *left)
+            zs_l, dzs_l = _two_legs(sys, left_ts, z_anchor, w, i, left_leg)
         else:
             zs_l, dzs_l = _rows_path(sys, left_ts, z_anchor, w, i,
-                                     np.isfinite(zs_r[-1]).all(axis=1), *left)
+                                     np.isfinite(zs_r[-1]).all(axis=1),
+                                     left_leg)
 
     ts = np.concatenate([left_ts[::-1][:-1], right_ts])
     zs = np.concatenate([zs_l[::-1][:-1], zs_r])
@@ -510,7 +498,8 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     zeta = sched.zeta(i)
     z_anchor = np.array(z_anchor, dtype=float)  # a copy: it may come back as w
     h = _interval_step(sched, i, t_anchor, step)
-    span = _anchor_span(t_anchor, zeta, h)
+    span = _node_grid(min(t_anchor, zeta), max(t_anchor, zeta), None, h)
+    span = span if zeta >= t_anchor else span[::-1]
     one = z_anchor.ndim == 1
     Z = np.atleast_2d(z_anchor)  # a lone state is a stack of one row here
     m = len(Z)

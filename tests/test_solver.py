@@ -253,12 +253,17 @@ class TestSolveAnchorWork:
     """Span-only sweeps and the explicit-anchor shortcut change the work,
     never the numbers."""
 
-    @pytest.mark.parametrize("kind, forward", [
-        ("epca", True),
-        ("alternating", True), ("alternating", False),
-        ("randomized", True), ("randomized", False),
+    @pytest.mark.parametrize("kind, forward, stacked", [
+        pytest.param("epca", True, False, id="epca-True"),
+        pytest.param("alternating", True, False, id="alternating-True"),
+        pytest.param("alternating", False, False, id="alternating-False"),
+        pytest.param("randomized", True, False, id="randomized-True"),
+        pytest.param("randomized", False, False, id="randomized-False"),
+        pytest.param("randomized", True, True, id="randomized-True-stacked"),
+        pytest.param("randomized", False, True, id="randomized-False-stacked"),
     ])
-    def test_bitwise_equal_to_full_interval_sweeps(self, kind, forward):
+    def test_bitwise_equal_to_full_interval_sweeps(self, kind, forward,
+                                                   stacked):
         sys = small_random_system(np.random.default_rng(5), 2, 0.15)
         if kind == "randomized":
             sched = make_schedule(kind, window=(0, 8), theta_bound=1.0,
@@ -269,56 +274,42 @@ class TestSolveAnchorWork:
         # a forward march starts inside interval 0, past its anchor, so the
         # first sweep runs backwards; a backward march has every anchor behind
         t_a = 0.5 * (sched.zeta(0) + sched.theta(1)) if forward else sched.t_max
-        z_a = np.array([0.9, -0.6])
-        zeta_sides = set()
-        for i in intervals:
-            res = solve_anchor(sys, sched, i, t_a, z_a, 0.05, 1e-12)
-            w, m, deltas, ratios, seg = two_pass_anchor(
-                sys, sched, i, t_a, z_a, 0.05, 1e-12)
-            zeta_sides.add(int(np.sign(sched.zeta(i) - t_a)))
-            assert same_bits(res.w, w)
-            assert (res.iterations, res.deltas, res.ratios) == (m, deltas, ratios)
-            for name in ("ts", "zs", "dzs", "w"):
-                assert same_bits(getattr(res.segment, name), getattr(seg, name))
-            t_a = sched.theta(i + 1) if forward else sched.theta(i)
-            z_a = seg.value_at_node(t_a)
-        assert zeta_sides == ({-1} if not forward else
-                              {-1, 0} if kind == "epca" else {-1, 1})
-
-    @pytest.mark.parametrize("forward", [True, False])
-    def test_stacked_rows_bitwise_equal_to_their_lone_solves(self, forward):
-        # rows of different size settle at different sweeps, so each row's
-        # anchor leg comes from a different sweep of the stack
-        sys = small_random_system(np.random.default_rng(5), 2, 0.15)
-        sched = make_schedule("randomized", window=(0, 8), theta_bound=1.0,
-                              seed=31)
-        intervals = range(0, 8) if forward else range(7, -1, -1)
-        t_a = 0.5 * (sched.zeta(0) + sched.theta(1)) if forward else sched.t_max
+        # stacked rows of different size settle at different sweeps, so each
+        # row's anchor leg comes from a different sweep of the stack
         Z = np.array([[0.9, -0.6], [1e-3, 2e-3], [-2.0, 1.5], [0.0, 0.0]])
-        spread = 0
+        Z = Z if stacked else Z[:1]
+        zeta_sides, spread = set(), 0
         for i in intervals:
-            res = solve_anchor(sys, sched, i, t_a, Z, 0.05, 1e-12)
-            assert res.live.all()
-            spread = max(spread, len({len(d) for d in res.deltas}))
-            for r, z in enumerate(Z):
-                one = solve_anchor(sys, sched, i, t_a, z, 0.05, 1e-12)
+            zeta_sides.add(int(np.sign(sched.zeta(i) - t_a)))
+            res = solve_anchor(sys, sched, i, t_a, Z, 0.05, 1e-12) \
+                if stacked else None
+            for r, z_a in enumerate(Z):
+                one = solve_anchor(sys, sched, i, t_a, z_a, 0.05, 1e-12)
                 w, m, deltas, ratios, seg = two_pass_anchor(
-                    sys, sched, i, t_a, z, 0.05, 1e-12)
-                assert same_bits(res.w[r], one.w) and same_bits(one.w, w)
-                assert (res.deltas[r], res.ratios[r]) == (one.deltas,
-                                                          one.ratios)
+                    sys, sched, i, t_a, z_a, 0.05, 1e-12)
+                assert same_bits(one.w, w)
                 assert (one.iterations, one.deltas, one.ratios) == (
                     m, deltas, ratios)
-                assert same_bits(res.segment.ts, one.segment.ts)
-                assert same_bits(one.segment.ts, seg.ts)
-                for name in ("zs", "dzs"):
-                    row = getattr(res.segment, name)[:, r]
-                    assert same_bits(row, getattr(one.segment, name))
-                    assert same_bits(row, getattr(seg, name))
-                assert same_bits(res.segment.w[r], one.segment.w)
+                for name in ("ts", "zs", "dzs", "w"):
+                    assert same_bits(getattr(one.segment, name),
+                                     getattr(seg, name))
+                if stacked:
+                    assert same_bits(res.w[r], w)
+                    assert (res.deltas[r], res.ratios[r]) == (deltas, ratios)
+                    assert same_bits(res.segment.ts, seg.ts)
+                    for name in ("zs", "dzs", "w"):
+                        assert same_bits(getattr(res.segment, name)[..., r, :],
+                                         getattr(seg, name))
             t_a = sched.theta(i + 1) if forward else sched.theta(i)
-            Z = res.segment.value_at_node(t_a)
-        assert spread > 2
+            if stacked:
+                assert res.live.all()
+                spread = max(spread, len({len(d) for d in res.deltas}))
+                Z = res.segment.value_at_node(t_a)
+            else:
+                Z = seg.value_at_node(t_a)[None]
+        assert zeta_sides == ({-1} if not forward else
+                              {-1, 0} if kind == "epca" else {-1, 1})
+        assert spread > 2 if stacked else spread == 0
 
     def test_explicit_anchor_integrates_once(self):
         calls = []
