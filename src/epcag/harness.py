@@ -2,8 +2,9 @@
 named recipes, and artifact writing (CSVs, JSON report, manifest).
 
 Every catalog nonlinearity takes one state or stacked states, one row per
-point (the contract in :mod:`epcag.solver`), with last-axis numpy operations
-that make a stacked call equal its per-row calls bit for bit."""
+point (the contract in :mod:`epcag.solver`).  It computes on Python floats
+for one state and on numpy columns for stacked states, with the same
+operations, so a stacked call equals its per-row calls bit for bit."""
 
 from __future__ import annotations
 
@@ -46,9 +47,18 @@ RECIPES = ("simulate", "continue-backward", "manifold-F", "manifold-G",
 # nonlinearity catalog
 # ---------------------------------------------------------------------------
 
-# Components are read as z.T[j]: a number for one state, a column for
-# stacked states.  They are combined with products and ufuncs, never powers:
-# numpy rounds a power of an array and of a single number differently.
+# Components are read through _cols: Python floats for one state (less
+# dispatch per call), numpy columns for stacked states.  Both are the same
+# IEEE arithmetic.  They are combined with products and ufuncs, never
+# powers: numpy rounds a power of an array and of a single number
+# differently.  Overflow gives inf or nan, never an exception: the only
+# denominators are 1 + x*x.
+
+def _cols(x):
+    """The components of one state ``(n,)`` as Python floats, or of stacked
+    rows ``(m, n)`` as columns."""
+    return x.tolist() if x.ndim == 1 else x.T
+
 
 def _sat_cubic(x):
     x2 = x * x
@@ -70,7 +80,8 @@ def _make_example1_quadratic(params, dim):
     radius = float(params.get("radius", 15.0))
 
     def f(t, z, w):
-        return np.array([-(w.T[0] * w.T[0])]).T
+        w0 = _cols(w)[0]
+        return np.array([-(w0 * w0)]).T
 
     return f, 2.0 * radius
 
@@ -90,7 +101,7 @@ def _make_tanh_coupled(params, dim):
     amp = float(params["amp"])
 
     def f(t, z, w):
-        rate = amp * np.tanh(w.T[0])
+        rate = amp * np.tanh(_cols(w)[0])
         return np.array([rate - rate, rate]).T   # rate - rate: zeros like rate
 
     return f, abs(amp)
@@ -106,8 +117,8 @@ def _make_center_cubic(params, dim):
         raise ConfigError("center-cubic sign must be +1 or -1")
 
     def f(t, z, w):
-        return np.array([eps * _sat_square(w.T[1]),
-                         sign * a * _sat_cubic(z.T[1])]).T
+        return np.array([eps * _sat_square(_cols(w)[1]),
+                         sign * a * _sat_cubic(_cols(z)[1])]).T
 
     return f, max(1.125 * abs(a), 0.6495 * abs(eps))
 

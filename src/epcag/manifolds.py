@@ -227,15 +227,21 @@ def _eval_g_panels(fblock, grid: _PanelGrid, Z: np.ndarray):
 
 
 def _block_f(f, split: SpectralSplit):
-    """The nonlinearity ``f`` written in the block coordinates of the split;
-    the transform acts on the last axis, so one state or stacked rows go
-    through as ``f`` takes them."""
+    """The nonlinearity ``f`` written in the block coordinates of the split.
+    Each row is mapped with its own matrix-vector product, so one state or
+    stacked rows go through as ``f`` takes them, and a stacked row is
+    bitwise the one-state value (a matrix-matrix product rounds
+    differently)."""
     if split.is_identity_transform:
         return lambda t, z, w: np.asarray(f(t, z, w), dtype=float)
-    Tmt = split.transform.T
-    Tinvt = split.transform_inv.T
-    return lambda t, z, w: np.asarray(f(t, z @ Tinvt, w @ Tinvt),
-                                      dtype=float) @ Tmt
+    T, Tinv = split.transform, split.transform_inv
+
+    def fblock(t, z, w):
+        out = np.asarray(f(t, (Tinv @ z[..., None])[..., 0],
+                           (Tinv @ w[..., None])[..., 0]), dtype=float)
+        return (T @ out[..., None])[..., 0]
+
+    return fblock
 
 
 def _snap_up(sched: ArgumentSchedule, t: float) -> float:

@@ -104,6 +104,29 @@ class TestCatalogStackedContract:
             assert got.shape == old.shape == (dim,)
             assert np.all(np.abs(got - old) <= 4 * np.spacing(np.abs(old)))
 
+    @pytest.mark.parametrize("name", sorted(CATALOG_CASES))
+    def test_one_state_call_is_a_float64_row_of_the_stacked_call(self, name):
+        # the last two rows overflow: the one-state call, on Python floats,
+        # must give the stacked call's inf or nan and raise nothing
+        params, dim = CATALOG_CASES[name]
+        f, _ = _CATALOG[name]["factory"](params, dim)
+        rng = np.random.default_rng(12)
+        t = np.array([0.0, 0.4, 1.0, 2.5])
+        z, w = rng.normal(size=(2, 4, dim))
+        z[2:] = w[2:] = 1e200
+        z[3, -1] = w[3, -1] = -1e200
+        with np.errstate(all="ignore"):
+            stacked = f(t, z, w)
+        for point, row in zip(zip(t, z, w), stacked):
+            one = f(*point)
+            assert isinstance(one, np.ndarray)
+            assert one.dtype == np.float64 and one.shape == (dim,)
+            assert np.array_equal(one, row, equal_nan=True)
+            if np.isfinite(row).all():
+                assert one.tobytes() == row.tobytes()
+        if name in ("example1-quadratic", "center-cubic"):
+            assert not np.isfinite(stacked[2:]).all()
+
     def test_catalog_systems_keep_their_f_stacked(self):
         for name, (params, dim) in CATALOG_CASES.items():
             sys = build_system({"matrix": (-np.eye(dim)).tolist(),

@@ -14,6 +14,7 @@ from epcag import (
     spectral_split,
 )
 from epcag import reduction
+from epcag.harness import build_system
 from epcag.errors import (BlowUpError, DegenerateDimensionError,
                           NonContractionError, ParameterError)
 from epcag.solver import _march
@@ -104,6 +105,23 @@ class TestBuildReduced:
             bare = -a * v**3 / (1 + v**2)
             assert abs(got - bare) <= 30.0 * a**2
         assert red.lipschitz_l > sys.lipschitz_l
+
+    def test_non_identity_split_keeps_the_stacked_call(self):
+        # the block transform maps each row with its own product, so a
+        # stacked f_red call is bitwise its per-row calls
+        sys = build_system({"matrix": [[-1.0, 0.0], [0.3, 0.0]],
+                            "nonlinearity": {"name": "center-cubic",
+                                             "params": {"a": 0.012}}})
+        sched = make_schedule("epca", window=(-60, 80))
+        split = spectral_split(sys.A)
+        assert not split.is_identity_transform
+        bundle = compute_constants(sys.A, split, sched, sys.lipschitz_l,
+                                   alpha=0.25)
+        g_eval = CenterEvaluator(sys, sched, split, bundle, box=2.0,
+                                 resolution=5, tol=1e-6, quad_step=0.1,
+                                 time_period=1.0, time_subdiv=1)
+        red = build_reduced(sys, sched, split, g_eval)
+        assert red.f_stacked is red.f
 
 
 class TestAsymptoticPhase:

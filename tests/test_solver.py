@@ -14,7 +14,7 @@ from epcag import (
     solve_forward,
 )
 from epcag.errors import BlowUpError, NonContractionError
-from epcag.solver import _march, _node_grid, _rk4_path
+from epcag.solver import _blow_ups, _march, _node_grid, _rk4_path
 
 E3 = math.exp(3.0)
 
@@ -423,14 +423,102 @@ class TestStackedMarch:
         if kind != "epca":
             assert len(iteration_counts) > 1
 
-    def test_rhs_rows_are_the_one_state_values(self):
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_rhs_rows_are_the_one_state_values(self, layout):
         rng = np.random.default_rng(8)
-        A = rng.normal(size=(3, 3))
+        A = rng.normal(size=(6, 6))
+        A = {"C": A[:3, :3].copy(), "F": np.asfortranarray(A[:3, :3]),
+             "strided": A[::2, 1::2]}[layout]
         sys = HybridSystem(A, lambda t, z, w: 0.1 * np.tanh(w - z), 0.2, 3)
         Z, W = rng.normal(size=(2, 7, 3))
         got = sys.rhs(0.4, Z, W)
         assert same_bits(got, [sys.rhs(0.4, z, w) for z, w in zip(Z, W)])
         assert same_bits(sys.rhs(0.4, Z[2:4], W[2:4]), got[2:4])
+
+    def test_a_blown_row_leaves_the_others_their_step(self):
+        # z' = z + 0.5 w until z passes 5: row 1 turns non-finite in the
+        # step from node 12; row 0 keeps that step's value and needs only
+        # its derivative at node 13, so the path takes one rhs per stage
+        calls = []
+
+        def f(t, z, w):
+            calls.append(z.shape)
+            return 0.5 * w + np.where(z > 5.0, np.inf, 0.0)
+
+        sys = HybridSystem(np.array([[1.0]]), f, 0.5, 1)
+        assert sys.f_stacked is f
+        ts = np.linspace(0.0, 2.0, 21)
+        Z0 = np.array([[0.1], [1.0]])
+        calls.clear()
+        zs, dzs = _rk4_path(sys, ts, Z0, Z0, 0)
+        assert len(calls) == 1 + 4 * 20
+        assert calls.count((2, 1)) == 1 + 4 * 12 + 3
+        assert np.isfinite(zs[:13, 1]).all() and np.isnan(zs[13:, 1]).all()
+        assert np.isnan(dzs[13:, 1]).all()
+        assert list(_blow_ups(ts, zs)) == [(1, float(ts[12]))]
+        one = _rk4_path(sys, ts, Z0[0], Z0[0], 0)
+        assert same_bits(zs[:, 0], one[0]) and same_bits(dzs[:, 0], one[1])
+
+
+def numpy_rk4(sys, ts, z, w):
+    """Reference RK4 path of one state, each step combined on numpy arrays;
+    the node after the last one it reaches is non-finite."""
+    zs = [z]
+    for t, t1 in zip(ts.tolist()[:-1], ts.tolist()[1:]):
+        h = t1 - t
+        with np.errstate(all="ignore"):
+            k1 = sys.rhs(t, z, w)
+            k2 = sys.rhs(t + h / 2, z + (h / 2) * k1, w)
+            k3 = sys.rhs(t + h / 2, z + (h / 2) * k2, w)
+            k4 = sys.rhs(t + h, z + h * k3, w)
+            z = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        zs.append(z)
+        if not np.isfinite(z).all():
+            break
+    return np.array(zs)
+
+
+class TestLoneStage:
+    """A lone state takes its linear part with ``A.dot`` and combines each
+    step on Python floats: bitwise the numpy expressions."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rhs_is_the_matrix_product_plus_f(self, n, order):
+        rng = np.random.default_rng(50 + n)
+        A = np.asarray(rng.normal(size=(n, n)), order=order)
+
+        def f(t, z, w):
+            return 0.1 * np.tanh(w - z)
+
+        sys = HybridSystem(A, f, 0.2, n)
+        for z, w in rng.normal(size=(25, 2, n)):
+            assert same_bits(sys.rhs(0.3, z, w),
+                             A @ z + np.asarray(f(0.3, z, w), dtype=float))
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_path_is_the_numpy_step_combination(self, descending):
+        rng = np.random.default_rng(9)
+        sys = small_random_system(rng, 3, 0.4)
+        ts = np.sort(rng.uniform(0.0, 3.0, size=40))
+        ts = ts[::-1] if descending else ts
+        z0, w = rng.normal(size=(2, 3))
+        zs, dzs = _rk4_path(sys, ts, z0, w, 0)
+        assert same_bits(zs, numpy_rk4(sys, ts, z0, w))
+        assert same_bits(dzs, [sys.rhs(t, z, w) for t, z in zip(ts, zs)])
+
+    def test_blowup_raises_at_the_same_time(self):
+        sys = HybridSystem(np.array([[0.0]]),
+                           lambda t, z, w: 0.5 * z * z * z, 1.5, 1)
+        ts = np.linspace(0.0, 2.0, 21)
+        z0 = np.array([1.0])
+        with pytest.raises(BlowUpError) as ei:
+            _rk4_path(sys, ts, z0, z0, 4)
+        ref = numpy_rk4(sys, ts, z0, z0)
+        assert ei.value.last_finite_time == ts[len(ref) - 2]
+        assert ei.value.interval == 4
+        stacked, _ = _rk4_path(sys, ts, z0[None], z0[None], 4)
+        assert list(_blow_ups(ts, stacked)) == [(0, ei.value.last_finite_time)]
 
 
 class TestSolveForward:
