@@ -233,6 +233,11 @@ def spectral_split(A: np.ndarray) -> SpectralSplit:
     )
 
 
+def _exp(y: float) -> float:
+    """e^y, inf where it overflows a float (math.exp raises there)."""
+    return math.exp(y) if y < 709.0 else math.inf
+
+
 def gamma_closed_form(alpha: float, m_pow: int) -> float:
     """integral over [0, inf) of (1 + t**m) e^{-alpha t} dt."""
     return 1.0 / alpha + math.factorial(m_pow) / alpha ** (m_pow + 1)
@@ -255,13 +260,13 @@ def compute_constants(A: np.ndarray, split: SpectralSplit,
         raise ParameterError(f"alpha must lie in (0, sigma={sigma}), got {alpha}")
     theta = float(sched.theta_bound)
     Omega = float(np.linalg.norm(A, 2))
-    M = math.exp(Omega * theta)
+    M = _exp(Omega * theta)
     m_low = math.exp(-Omega * theta)
     gamma = gamma_closed_form(alpha, m_pow)
-    p = K * (1.0 + math.exp(alpha * theta)) * (1.0 / (sigma - alpha) + gamma)
+    p = K * (1.0 + _exp(alpha * theta)) * (1.0 / (sigma - alpha) + gamma)
 
     x = M * l * theta
-    xe = x * math.exp(x)
+    xe = x * _exp(x)   # inf or nan when the constants overflow: c5 fails
     v1 = xe
     v2 = 2.0 * x
     if xe < 1.0:

@@ -183,7 +183,7 @@ def build_system(system_cfg: dict) -> HybridSystem:
     if not isinstance(nl, dict):
         raise ConfigError(f"system.nonlinearity must be an object, got {nl!r}")
     name = nl.get("name")
-    if name not in _CATALOG:
+    if not isinstance(name, str) or name not in _CATALOG:
         raise ConfigError(
             f"unknown nonlinearity {name!r}; catalog: {sorted(_CATALOG)}")
     try:
@@ -240,9 +240,14 @@ _STABILITY_DEFAULTS = {
     "final_frac": 0.01, "n_random_dirs": 8, "step": 0.1,
 }
 # every section value is finite and lies above 0, or above the bound listed
-# here (n_random_dirs >= 0, cache_resolution >= 2)
+# in _ABOVE (n_random_dirs >= 0, cache_resolution >= 2); a count is also at
+# most its bound in _AT_MOST.  A step lays at most _MAX_NODES nodes on the
+# longest interval of the schedule.
 _ABOVE = {"n_random_dirs": -1, "cache_resolution": 1,
           "t0_samples": -math.inf, "cache_box": -math.inf}
+_AT_MOST = {"n_random_dirs": 1000}
+_MAX_NODES = 100_000
+_STEPS = (("solver", "step"), ("stability", "step"), ("manifold", "quad_step"))
 
 
 def _integer(val) -> int:
@@ -288,10 +293,13 @@ def _merged(defaults: dict, given: dict, section: str) -> dict:
             raise ConfigError(f"{section}.{key} = {val!r} is not numeric: "
                               f"{exc}") from exc
         vals = np.asarray(out[key], dtype=float)
-        above = _ABOVE.get(key, 0)
-        if not (np.all(np.isfinite(vals)) and np.all(vals > above)):
+        above, at_most = _ABOVE.get(key, 0), _AT_MOST.get(key, math.inf)
+        if not (np.all(np.isfinite(vals)) and np.all(vals > above)
+                and np.all(vals <= at_most)):
             raise ConfigError(f"{section}.{key} = {val!r} must be finite"
-                              + (f" and > {above}" if above > -math.inf else ""))
+                              + (f" and > {above}" if above > -math.inf else "")
+                              + (f" and <= {at_most}" if at_most < math.inf
+                                 else ""))
     return out
 
 
@@ -437,9 +445,16 @@ def run(config: ExperimentConfig, out_dir) -> int:
 
 
 def _dispatch(cfg: ExperimentConfig, out_dir) -> dict:
+    sched = (make_schedule("alternating", window=(-2, 3))
+             if cfg.recipe == "example1" else schedule_from_dict(cfg.schedule))
+    for section, key in _STEPS:
+        step = getattr(cfg, section)[key]
+        if sched.theta_bound / step > _MAX_NODES:
+            raise ConfigError(
+                f"{section}.{key} = {step!r} lays more than {_MAX_NODES} nodes "
+                f"on an interval of length {sched.theta_bound:g}")
     if cfg.recipe == "example1":
-        return _recipe_example1(cfg, out_dir)
-    sched = schedule_from_dict(cfg.schedule)
+        return _recipe_example1(cfg, sched, out_dir)
     sys = build_system(cfg.system)
     if cfg.recipe == "simulate":
         return _recipe_simulate(cfg, sys, sched, out_dir, forward=True)
@@ -525,21 +540,17 @@ def _recipe_manifold(cfg, sys, sched, out_dir, kind: str) -> dict:
             f"manifold grid dumps support one-dimensional graphs; the "
             f"{'decaying' if kind == 'F' else 'neutral'} block has dimension "
             f"{coord_dim}")
-    rows = []
-    diag = []
-    for x in grid:
-        res = (eval_F if kind == "F" else eval_G)(
-            sys, sched, split, bundle, zeta, np.array([x]), tol=mf["tol"],
-            quad_step=mf["quad_step"])
-        rows.append((x, res.value))
-        diag.append({"coord": float(x), "iterates": res.iterates,
-                     "last_delta": res.last_delta})
+    res = (eval_F if kind == "F" else eval_G)(
+        sys, sched, split, bundle, zeta, grid[:, None], tol=mf["tol"],
+        quad_step=mf["quad_step"])
+    diag = [{"coord": float(x), "iterates": it, "last_delta": last}
+            for x, it, last in zip(grid, res.iterates, res.last_delta)]
     name = f"manifold_{kind}.csv"
-    val_dim = len(rows[0][1])
     header = ("c_1," if kind == "F" else "v_1,") + ",".join(
-        (f"F_{j + 1}" if kind == "F" else f"G_{j + 1}") for j in range(val_dim))
+        (f"F_{j + 1}" if kind == "F" else f"G_{j + 1}")
+        for j in range(res.value.shape[1]))
     lines = [header]
-    for x, val in rows:
+    for x, val in zip(grid, res.value):
         lines.append(",".join([repr(float(x))] + [repr(float(v)) for v in val]))
     (out_dir / name).write_text("\n".join(lines) + "\n")
     return {"anchor_index": i, "anchor_time": zeta, "csv": name,
@@ -621,7 +632,7 @@ def _recipe_reduce(cfg, sys, sched) -> dict:
     return result.as_dict()
 
 
-def _recipe_example1(cfg, out_dir) -> dict:
+def _recipe_example1(cfg, sched, out_dir) -> dict:
     """Continuation pathologies of the anchored quadratic equation
     z' = 3 z - z(beta(t))^2 on the alternating schedule: a data point with no
     forward continuation, and two distinct solutions colliding at t = 1 so
@@ -631,7 +642,6 @@ def _recipe_example1(cfg, out_dir) -> dict:
         z0v = float(cfg.run_params.get("z0", 1.0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"run.x0 / run.z0 must be numbers: {exc}") from exc
-    sched = make_schedule("alternating", window=(-2, 3))
     A = np.array([[3.0]])
     f, l = _CATALOG["example1-quadratic"]["factory"]({"radius": 15.0}, 1)
     sys = HybridSystem(A, f, l, 1, probe_radius=15.0)

@@ -14,6 +14,12 @@ rules then propagate the cumulative integrals in one pass, a few matrix
 products per panel shape with one d-by-d step per panel end.  Their kernel
 tables are built once per successive approximation, one per distinct panel
 shape, and shared by all of its sweeps.
+
+:func:`eval_F` and :func:`eval_G` take one coordinate vector or stacked
+rows, points at one anchor.  Stacked rows share the grid, the kernel tables
+and one successive approximation, each row a column of every sweep.  A
+column is frozen at the sweep where its own change drops below the
+tolerance, so it gets the value, deltas and error of its call alone.
 """
 
 from __future__ import annotations
@@ -49,18 +55,26 @@ class ManifoldApprox:
     ``iterates`` is the index m of the final increment (the change from the
     m-th to the (m+1)-th approximation), so the recorded ``last_delta`` obeys
     the geometric bound K |c| (2pl)^m for the stable kind.
+
+    For m stacked rows, ``value`` has a row and ``zs`` (N, m, n) a column
+    per input row, ``iterates`` and ``last_delta`` are lists, and
+    ``column_deltas`` holds each row's deltas, those of its own call.
+    ``deltas`` has one entry per sweep run (the largest delta of the rows
+    still open), so its length counts the sweeps; for one vector it is that
+    vector's deltas.
     """
 
     kind: str
     anchor_time: float
     horizon: float
-    iterates: int
+    iterates: int | list
     lipschitz_bound: float
-    last_delta: float
+    last_delta: float | list
     value: np.ndarray
     ts: np.ndarray
     zs: np.ndarray
     deltas: list = field(default_factory=list)
+    column_deltas: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +191,19 @@ def _sweep(tables, gvals, x0, backward: bool = False):
     """X(t_j) = e^{B(t_j - t_0)} x0 + cumulative integral of
     e^{B(t_j - s)} g(s) ds from t_0, fourth order, with the kernels of
     ``tables`` (:func:`_sweep_tables` of B on the grid) and the samples
-    ``gvals`` of g in the grid's sample order (``_PanelGrid.rows``).
+    ``gvals`` of g in the grid's sample order (``_PanelGrid.rows``), for m
+    columns at once: ``gvals`` is ``(S, m, d)``, ``x0`` is ``(m, d)`` and
+    X is ``(N, m, d)``.
 
     Each panel of 2h sub-steps is one composite Simpson rule weighted by the
     kernel: with c_r = (delta/3)(E2 g_2r + 4 E1 g_2r+1 + g_2r+2), its even
     nodes are x_2r = E2^r x_0 + sum_{s<r} E2^(r-1-s) c_s, and its odd nodes
     follow from the even node before them.  All panels of one shape are done
     together: first their c and sums, then the panel ends one after another
-    (x_2h = E2^h x_0 + the last sum, a d-by-d step per panel), then their
-    other even nodes and their odd nodes.
+    (x_2h = E2^h x_0 + the last sum, a d-by-d step per panel and column),
+    then their other even nodes and their odd nodes.  Every product acts on
+    one column's d-vector as a row of a matrix product (:func:`_rows_times`),
+    so a column's values do not depend on the others.
 
     With ``backward`` the start value ``x0`` is X(t_N) and
     X(t_j) = e^{B(t_j - t_N)} x0 - integral over [t_j, t_N]: the same
@@ -193,37 +211,55 @@ def _sweep(tables, gvals, x0, backward: bool = False):
     with the samples reversed and negated, its output reversed back.
     """
     n_nodes, d, ends, steps, groups = tables
-    X = np.zeros((n_nodes, d))
+    m = len(x0)
+    X = np.zeros((n_nodes, m, d))
     if d == 0:
         return X
     if backward:
         gvals = -gvals[::-1]
-    sums = np.empty((len(steps), d))    # the last sum of each panel
+    sums = np.empty((len(steps), m, d, 1))    # the last sum of each panel
     parts = []
     for (dl, E1t, E2t, E1invt, _, _, Tt), where, samples, _, _ in groups:
-        g = gvals[samples]
-        gE1, gE2, gE1inv = ((g.reshape(-1, d) @ E).reshape(g.shape)
+        g = gvals[samples]                 # (panels, 2h + 1, m, d)
+        gE1, gE2, gE1inv = (_rows_times(g.reshape(-1, d), E).reshape(g.shape)
                             for E in (E1t, E2t, E1invt))
         c = (dl / 3.0) * (gE2[:, :-1:2] + 4.0 * gE1[:, 1::2] + g[:, 2::2])
-        Tc = c.reshape(len(where), -1) @ Tt
-        sums[where] = Tc[:, -d:]
-        parts.append((Tc[:, :-d], (dl / 12.0) * (
+        Tc = _rows_times(c.swapaxes(1, 2).reshape(len(where) * m, -1),
+                         Tt).reshape(len(where), m, -1)
+        sums[where] = Tc[..., -d:, None]
+        parts.append((Tc[..., :-d], (dl / 12.0) * (
             5.0 * gE1[:, :-1:2] + 8.0 * g[:, 1::2] - gE1inv[:, 2::2])))
-    x = X[0] = np.asarray(x0, dtype=float)
+    X[0] = x0
+    x, xends = X[0, ..., None], np.empty_like(sums)   # columns as d-by-1
     for p, E2h in enumerate(steps):
-        x = X[ends[p + 1]] = E2h @ x + sums[p]
+        x = xends[p] = E2h @ x + sums[p]
+    X[ends[1:]] = xends[..., 0]
     for (table, where, _, even, odd), (Tc, odd_part) in zip(groups, parts):
         E1t, Pt = table[1], table[5]
         x = X[ends[where]]
-        Xe = X[even] = (x @ Pt + Tc).reshape(even.shape + (d,))
+        Xe = X[even] = (_rows_times(x.reshape(-1, d), Pt).reshape(Tc.shape)
+                        + Tc).reshape(len(where), m, -1, d).swapaxes(1, 2)
         prev = np.concatenate([x[:, None], Xe], axis=1)   # even node before
-        X[odd] = odd_part + (prev.reshape(-1, d) @ E1t).reshape(prev.shape)
+        X[odd] = odd_part + _rows_times(prev.reshape(-1, d), E1t).reshape(
+            prev.shape)
     return X[::-1] if backward else X
 
 
+def _rows_times(X, E):
+    """``X @ E`` for rows ``X``.  One row is multiplied as a stack of two:
+    alone it would go to the matrix-vector kernel, which rounds differently,
+    and a row's value must not depend on how many rows share the product."""
+    return X @ E if len(X) > 1 else (np.concatenate([X, X]) @ E)[:1]
+
+
 def _eval_g_panels(fblock, grid: _PanelGrid, Z: np.ndarray):
-    """fblock(t_j, Z_j, Z(beta(t_j))) at every sample, in one stacked call."""
-    return fblock(grid.ts[grid.rows], Z[grid.rows], Z[grid.betas])
+    """fblock(t_j, Z_j, Z(beta(t_j))) at every sample of every column of
+    ``Z`` (shape ``(N, m, n)``), in one stacked call with one row per sample
+    and column; returns ``(S, m, n)``."""
+    S, m, n = len(grid.rows), Z.shape[1], Z.shape[2]
+    return fblock(np.repeat(grid.ts[grid.rows], m),
+                  Z[grid.rows].reshape(S * m, n),
+                  Z[grid.betas].reshape(S * m, n)).reshape(S, m, n)
 
 
 def _block_f(f, split: SpectralSplit):
@@ -275,41 +311,63 @@ def stable_tail_bound(split: SpectralSplit, bundle: ConstantsBundle,
     return 2.0 * K**2 * l * c_norm * (1.0 + math.exp(a * th)) * tail
 
 
-def _picard(Bp, Bm, g, grid: _PanelGrid, u0, v_end, tol, max_iter, weight=1.0):
-    """Successive approximation of the split integral system on ``grid``.
+_MAX_COLUMNS = 7  # columns per sweep: wider stacks cost memory, gain little
 
-    Starting from the zero iterate, each sweep maps the current samples Z to
-    the nonlinearity's samples ``g(Z)`` (in the grid's sample order), then integrates the first block
-    forward from ``u0`` at t_0 and the second block backward from ``v_end``
-    at t_N.  Stops when the weighted sup-norm change max_j weight_j |dZ_j|
-    drops below ``tol``; raises :class:`DivergenceError` when it stops
-    decreasing or ``max_iter`` sweeps pass.  Returns the converged samples
-    and the delta of every sweep.
+
+def _picard(Bp, Bm, g, grid: _PanelGrid, u0, v_end, tol, max_iter, weight=1.0):
+    """Successive approximation of the split integral system on ``grid``
+    for the m columns of the starts ``u0`` (m, k) and ``v_end`` (m, n - k).
+
+    From the zero iterate, each sweep maps the samples Z (N, m, n) to the
+    nonlinearity's samples ``g(Z)`` (S, m, n, in the grid's sample order),
+    then integrates the first block forward from ``u0`` at t_0 and the
+    second backward from ``v_end`` at t_N.  A column stops when its weighted
+    change max_j weight_j |dZ_j| drops below ``tol`` and fails with a
+    :class:`DivergenceError` when that change stops decreasing or
+    ``max_iter`` sweeps pass.  Stopped columns are frozen and the open ones
+    swept at most ``_MAX_COLUMNS`` at a time, so each gets the samples and
+    deltas of its run alone.  Returns Z, the largest delta of each sweep,
+    and per column its deltas and error (None when it converged).
     """
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-    k = Bp.shape[0]
-    Z = np.zeros((len(grid.ts), k + Bm.shape[0]))
+    k, m = Bp.shape[0], len(u0)
+    Z = np.zeros((len(grid.ts), m, k + Bm.shape[0]))
     fwd = _sweep_tables(Bp, grid)
     bwd = _sweep_tables(Bm, grid, backward=True)
-    deltas: list = []
-    for m in range(max_iter):
-        gv = g(Z)
-        U = _sweep(fwd, gv[:, :k], u0)
-        V = _sweep(bwd, gv[:, k:], v_end, backward=True)
-        Znew = np.hstack([U, V])
-        delta = float(np.max(weight * np.linalg.norm(Znew - Z, axis=1)))
-        Z = Znew
-        if deltas and delta >= deltas[-1] and delta > tol:
-            deltas.append(delta)
-            raise DivergenceError(
-                f"non-decreasing sweep deltas at m={m}: {deltas[-3:]}", deltas)
-        deltas.append(delta)
-        if delta < tol:
-            return Z, deltas
-    raise DivergenceError(
-        f"no convergence within {max_iter} sweeps (last delta {deltas[-1]:.3g})",
-        deltas)
+    weight = np.reshape(weight, (-1, 1))
+    sweeps, deltas, errors = [], [[] for _ in range(m)], [None] * m
+    for first in range(0, m, _MAX_COLUMNS):
+        cols = np.arange(first, min(first + _MAX_COLUMNS, m))
+        Zc, uc, vc = Z[:, cols], u0[cols], v_end[cols]   # the open columns
+        for it in range(max_iter):
+            gv = g(Zc)
+            Znew = np.concatenate([_sweep(fwd, gv[..., :k], uc),
+                                   _sweep(bwd, gv[..., k:], vc, backward=True)],
+                                  axis=2)
+            step = np.max(weight * np.linalg.norm(Znew - Zc, axis=2),
+                          axis=0).tolist()
+            Zc = Znew
+            sweeps.append(max(step))
+            for c, delta in zip(cols.tolist(), step):
+                seq = deltas[c]
+                seq.append(delta)
+                if len(seq) > 1 and delta >= seq[-2] and delta > tol:
+                    errors[c] = DivergenceError(
+                        f"non-decreasing sweep deltas at m={it}: {seq[-3:]}", seq)
+            still = np.array([errors[c] is None and not deltas[c][-1] < tol
+                              for c in cols.tolist()])
+            if not still.all():   # freeze the columns that stopped
+                Z[:, cols] = Zc
+                cols, Zc, uc, vc = cols[still], Zc[:, still], uc[still], vc[still]
+                if not len(cols):
+                    break
+        Z[:, cols] = Zc
+        for c in cols.tolist():
+            errors[c] = DivergenceError(
+                f"no convergence within {max_iter} sweeps (last delta "
+                f"{deltas[c][-1]:.3g})", deltas[c])
+    return Z, sweeps, deltas, errors
 
 
 def _check_envelope(norms, env, tol, size, label):
@@ -322,6 +380,79 @@ def _check_envelope(norms, env, tol, size, label):
                             excess)
 
 
+def _graph_map(stable: bool, sys: HybridSystem, sched: ArgumentSchedule,
+               split: SpectralSplit, bundle: ConstantsBundle, zeta: float, x,
+               horizon, tol, max_iter, quad_step) -> ManifoldApprox:
+    """The graph-map core of :func:`eval_F` (``stable``) and :func:`eval_G`:
+    one coordinate vector ``x`` or stacked rows ``(m, width)``, all solved
+    on one grid by one :func:`_picard` run.  Each column is checked against
+    its decay envelope; the first failing column in input order raises its
+    error, the one its own call raises."""
+    if not bundle.c10_pass:
+        raise SmallnessError(
+            f"2pl = {2 * bundle.p_const * bundle.l:.4g} >= 1: the graph-map "
+            "iteration is not guaranteed to contract")
+    k, nm = split.k, split.B_minus.shape[0]
+    if stable:
+        K, rate = split.K_const, bundle.alpha
+        lipschitz, name, width = bundle.p_const * K * bundle.l, "c", k
+    else:
+        kappa, kappa_bar, K = split.kappa, split.kappa_bar, split.K_shifted
+        alpha1 = kappa_bar / 4.0
+        theta = bundle.theta
+        l_shift = bundle.l * math.exp(kappa * theta)
+        p_bar = K * (1.0 + math.exp(alpha1 * theta)) * (
+            1.0 / (kappa_bar + alpha1) + 1.0 / (kappa_bar - alpha1))
+        if 2.0 * p_bar * l_shift >= 1.0:
+            raise SmallnessError(
+                f"shifted smallness fails: 2 p_bar l e^(kappa theta) = "
+                f"{2 * p_bar * l_shift:.4g} >= 1 (shifted Lipschitz constant "
+                f"{l_shift:.4g})")
+        rate, lipschitz, name, width = kappa - alpha1, p_bar * K * l_shift, "d", nm
+    if horizon is None:
+        horizon = math.log(K / max(tol, 1e-12)) / split.sigma
+    fblock = _block_f(sys.f_stacked, split)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lone = x.ndim == 1
+    X = x[None] if lone else x
+    if X.ndim != 2 or X.shape[1] != width or not len(X):
+        raise ParameterError(f"{name} must have length {width} or shape "
+                             f"(m, {width}), got shape {x.shape}")
+    zeros = np.zeros((len(X), nm if stable else k))
+    if stable:
+        grid = _PanelGrid(sched, zeta, _snap_up(sched, zeta + horizon), quad_step)
+        starts, weight = (X, zeros), 1.0
+    else:
+        grid = _PanelGrid(sched, _snap_down(sched, zeta - horizon), zeta,
+                          quad_step)
+        starts, weight = (zeros, X), np.exp(kappa * grid.ts)
+    Z, sweeps, deltas, errors = _picard(
+        split.B_plus, split.B_minus, lambda Z: _eval_g_panels(fblock, grid, Z),
+        grid, *starts, tol, max_iter, weight=weight)
+    decay = np.exp(-rate * (grid.ts - zeta))
+    for c, row in enumerate(X):
+        size = float(np.linalg.norm(row))
+        if errors[c] is None:
+            try:
+                _check_envelope(np.linalg.norm(Z[:, c], axis=1),
+                                2.0 * K * size * decay, tol, size,
+                                "decay" if stable else "backward")
+            except EnvelopeError as err:
+                errors[c] = err
+    for err in filter(None, errors):
+        raise err   # the first failing column's
+    one = (lambda a: a[0]) if lone else (lambda a: a)
+    zs = split.from_block(Z.reshape(-1, k + nm)).reshape(Z.shape)
+    return ManifoldApprox(
+        kind="stable" if stable else "center", anchor_time=float(zeta),
+        horizon=float(grid.ts[-1] - grid.ts[0]),
+        iterates=one([len(seq) - 1 for seq in deltas]),
+        lipschitz_bound=lipschitz, last_delta=one([seq[-1] for seq in deltas]),
+        value=one((Z[0, :, k:] if stable else Z[-1, :, :k]).copy()),
+        ts=grid.ts.copy(), zs=zs[:, 0] if lone else zs, deltas=sweeps,
+        column_deltas=deltas)
+
+
 def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
            bundle: ConstantsBundle, zeta: float, c, horizon: float | None = None,
            tol: float = 1e-8, max_iter: int = 60,
@@ -331,35 +462,12 @@ def eval_F(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
 
     ``c`` and the returned value live in the block coordinates of the split
     (the decaying and neutral components respectively); the returned sample
-    path ``zs`` is mapped back to original coordinates.
+    path ``zs`` is mapped back to original coordinates.  ``c`` is one
+    vector of length k or stacked rows (m, k), solved together (see the
+    module docstring and :class:`ManifoldApprox`).
     """
-    if not bundle.c10_pass:
-        raise SmallnessError(
-            f"2pl = {2 * bundle.p_const * bundle.l:.4g} >= 1: the graph-map "
-            "iteration is not guaranteed to contract")
-    if horizon is None:
-        horizon = default_stable_horizon(split, max(tol, 1e-12))
-    fblock = _block_f(sys.f_stacked, split)
-    k = split.k
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.shape != (k,):
-        raise ParameterError(f"c must have length {k}, got shape {c.shape}")
-    grid = _PanelGrid(sched, zeta, _snap_up(sched, zeta + horizon), quad_step)
-    Z, deltas = _picard(split.B_plus, split.B_minus,
-                        lambda Z: _eval_g_panels(fblock, grid, Z), grid, c,
-                        np.zeros(sys.dim - k), tol, max_iter)
-    value = Z[0, k:].copy()
-    c_norm = float(np.linalg.norm(c))
-    K, alpha = split.K_const, bundle.alpha
-    _check_envelope(np.linalg.norm(Z, axis=1),
-                    2.0 * K * c_norm * np.exp(-alpha * (grid.ts - zeta)),
-                    tol, c_norm, "decay")
-    return ManifoldApprox(
-        kind="stable", anchor_time=float(zeta),
-        horizon=float(grid.ts[-1] - zeta), iterates=len(deltas) - 1,
-        lipschitz_bound=bundle.p_const * K * bundle.l,
-        last_delta=deltas[-1], value=value, ts=grid.ts.copy(),
-        zs=split.from_block(Z), deltas=deltas)
+    return _graph_map(True, sys, sched, split, bundle, zeta, c, horizon, tol,
+                      max_iter, quad_step)
 
 
 # ---------------------------------------------------------------------------
@@ -382,46 +490,11 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
     approximation runs on the unshifted blocks, which gives the same iterates
     because the kernel-weighted quadrature commutes with the shift.  The
     envelope exponent is alpha1 = kappa_bar / 4.
-    """
-    if not bundle.c10_pass:
-        raise SmallnessError(
-            f"2pl = {2 * bundle.p_const * bundle.l:.4g} >= 1")
-    k = split.k
-    nm = split.B_minus.shape[0]
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if d.shape != (nm,):
-        raise ParameterError(f"d must have length {nm}, got shape {d.shape}")
-    kappa, kappa_bar, K_bar = split.kappa, split.kappa_bar, split.K_shifted
-    alpha1 = kappa_bar / 4.0
-    theta = bundle.theta
-    l_shift = bundle.l * math.exp(kappa * theta)
-    p_bar = K_bar * (1.0 + math.exp(alpha1 * theta)) * (
-        1.0 / (kappa_bar + alpha1) + 1.0 / (kappa_bar - alpha1))
-    if 2.0 * p_bar * l_shift >= 1.0:
-        raise SmallnessError(
-            f"shifted smallness fails: 2 p_bar l e^(kappa theta) = "
-            f"{2 * p_bar * l_shift:.4g} >= 1 (shifted Lipschitz constant "
-            f"{l_shift:.4g})")
-    if horizon is None:
-        horizon = math.log(K_bar / max(tol, 1e-12)) / split.sigma
 
-    fblock = _block_f(sys.f_stacked, split)
-    grid = _PanelGrid(sched, _snap_down(sched, zeta - horizon), zeta, quad_step)
-    Z, deltas = _picard(split.B_plus, split.B_minus,
-                        lambda Z: _eval_g_panels(fblock, grid, Z), grid,
-                        np.zeros(k), d, tol, max_iter,
-                        weight=np.exp(kappa * grid.ts))
-    d_norm = float(np.linalg.norm(d))
-    alpha_tilde = kappa - alpha1
-    _check_envelope(np.linalg.norm(Z, axis=1),
-                    2.0 * K_bar * d_norm * np.exp(-alpha_tilde * (grid.ts - zeta)),
-                    tol, d_norm, "backward")
-    return ManifoldApprox(
-        kind="center", anchor_time=float(zeta),
-        horizon=float(zeta - grid.ts[0]), iterates=len(deltas) - 1,
-        lipschitz_bound=p_bar * K_bar * l_shift,
-        last_delta=deltas[-1], value=Z[-1, :k].copy(), ts=grid.ts.copy(),
-        zs=split.from_block(Z), deltas=deltas)
+    ``d`` is one vector of length n - k or stacked rows (m, n - k).
+    """
+    return _graph_map(False, sys, sched, split, bundle, zeta, d, horizon, tol,
+                      max_iter, quad_step)
 
 
 # ---------------------------------------------------------------------------
@@ -491,17 +564,22 @@ def verify_surface_invariance(sys: HybridSystem, sched: ArgumentSchedule,
         on_surface_max_v=float(max(v_on)), window=(zeta_i, t_off_end))
 
 
-def _sampled_P(graph, draws, l: float, min_gap: float) -> float:
+def _sampled_P(graph, draws, l: float, min_gap: float, lead=()):
     """Largest |graph(d1) - graph(d2)| / |d1 - d2| over the pairs in
     ``draws`` (shape (pairs, 2, n)), divided by l; pairs closer than
-    ``min_gap`` are skipped."""
+    ``min_gap`` are skipped.  ``graph`` takes stacked rows and is called
+    once, on the rows ``lead`` followed by both points of every kept pair in
+    pair order.  Returns the ratio and the graph's values at ``lead``."""
+    gaps = [float(np.linalg.norm(d1 - d2)) for d1, d2 in draws]
+    kept = [p for p, gap in enumerate(gaps) if not gap < min_gap]
+    lead = np.reshape(lead, (-1, draws.shape[2]))
+    rows = np.concatenate([lead, draws[kept].reshape(-1, draws.shape[2])])
+    vals = graph(rows) if len(rows) else rows
     best = 0.0
-    for d1, d2 in draws:
-        den = float(np.linalg.norm(d1 - d2))
-        if den < min_gap:
-            continue
-        best = max(best, float(np.linalg.norm(graph(d1) - graph(d2))) / den)
-    return best / max(l, 1e-300)
+    pairs = vals[len(lead):]
+    for p, g1, g2 in zip(kept, pairs[0::2], pairs[1::2]):
+        best = max(best, float(np.linalg.norm(g1 - g2)) / gaps[p])
+    return best / max(l, 1e-300), vals[:len(lead)]
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +663,8 @@ class CenterEvaluator:
 
     # -- raw evaluation ----------------------------------------------------
     def point(self, t: float, d) -> np.ndarray:
-        """Uncached graph value at exact time t and coordinates d."""
+        """Uncached graph value at exact time t and coordinates d (one
+        vector, or stacked rows solved in one :func:`eval_G` call)."""
         res = eval_G(self.sys, self.sched, self.split, self.bundle, t, d,
                      horizon=self.horizon, tol=self.tol, max_iter=40,
                      quad_step=self.quad_step)
@@ -679,6 +758,6 @@ class CenterEvaluator:
         anchor = float(self.time_nodes[0])
         draws = np.random.default_rng(seed).uniform(
             self.lo, self.hi, size=(pairs, 2, len(self.lo)))
-        self._P = _sampled_P(lambda d: self.point(anchor, d), draws,
-                             self.bundle.l, min_gap=1e-9)
+        self._P, _ = _sampled_P(lambda D: self.point(anchor, D), draws,
+                                self.bundle.l, min_gap=1e-9)
         return self._P

@@ -178,15 +178,14 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
     g_kwargs = dict(horizon=None, tol=picard_tol, max_iter=60,
                     quad_step=quad_step)
 
-    G_v0 = eval_G(sys, sched, split, bundle, zeta, v0, **g_kwargs).value
-    r0 = float(np.linalg.norm(u0 - G_v0))
-
     p, K, l = bundle.p_const, split.K_const, bundle.l
     scale = max(0.1, 0.5 * float(np.linalg.norm(v0)))
     draws = v0 + np.random.default_rng(3).normal(size=(3, 2, len(v0))) * scale
-    P = _sampled_P(
-        lambda d: eval_G(sys, sched, split, bundle, zeta, d, **g_kwargs).value,
-        draws, bundle.l, min_gap=1e-12)
+    # G(zeta, v0) is solved in the draws' stacked call, ahead of them
+    P, (G_v0,) = _sampled_P(
+        lambda D: eval_G(sys, sched, split, bundle, zeta, D, **g_kwargs).value,
+        draws, bundle.l, min_gap=1e-12, lead=v0)
+    r0 = float(np.linalg.norm(u0 - G_v0))
     if 1.0 - p * P * K * l * l <= 0:
         raise SmallnessError(f"1 - pPKl^2 = {1 - p * P * K * l * l:.4g} <= 0")
     if p * K * l * (1.0 + P * l) > 1.0:
@@ -206,14 +205,17 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
             break
         mu0 = split.from_block(np.concatenate([G_d, d]))
         mu_traj = solve_forward(sys, sched, zeta, mu0, t_traj_end, step, 1e-10)
-        # the system translated by the companion: g(Z) = f(MU + Z) - f(MU)
-        MU = split.to_block(mu_traj.eval(grid.ts))
+        # the system translated by the companion: g(Z) = f(MU + Z) - f(MU),
+        # one column
+        MU = split.to_block(mu_traj.eval(grid.ts))[:, None]
         f_mu = _eval_g_panels(fblock, grid, MU)
-        Z, _ = _picard(
+        Z, _, _, (err,) = _picard(
             split.B_plus, split.B_minus,
             lambda Z: _eval_g_panels(fblock, grid, Z + MU) - f_mu,
-            grid, u0 - G_d, np.zeros(len(v0)), picard_tol, 60)
-        d_next = v0 - Z[0, k:]
+            grid, (u0 - G_d)[None], np.zeros((1, len(v0))), picard_tol, 60)
+        if err:
+            raise err
+        d_next = v0 - Z[0, 0, k:]
         if float(np.linalg.norm(d_next - v0)) > r0 * (1 + 1e-8) + 1e-12:
             raise ContractionFailureError(
                 f"iterate left the admissible ball: |d - v0| = "

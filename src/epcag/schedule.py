@@ -131,6 +131,18 @@ def beta(t: float, sched: ArgumentSchedule) -> float:
     return sched.beta(t)
 
 
+def _window(params) -> tuple:
+    """The index window (i_min, i_max) of ``params``: finite, spanning at
+    least one interval."""
+    i_min, i_max = params["window"]
+    if not np.all(np.isfinite([i_min, i_max])):
+        raise ScheduleValidationError(f"window must be finite, got {[i_min, i_max]}")
+    i_min, i_max = int(i_min), int(i_max)
+    if i_max - i_min < 1:
+        raise ScheduleValidationError("window must span at least one interval")
+    return i_min, i_max
+
+
 def make_schedule(kind: str, **params) -> ArgumentSchedule:
     """Build a schedule of one of the four supported kinds.
 
@@ -147,18 +159,12 @@ def make_schedule(kind: str, **params) -> ArgumentSchedule:
                         t_start (default 0.0) places theta_{i_min}.
     """
     if kind == "epca":
-        i_min, i_max = params["window"]
-        i_min, i_max = int(i_min), int(i_max)
-        if i_max - i_min < 1:
-            raise ScheduleValidationError("window must span at least one interval")
+        i_min, i_max = _window(params)
         thetas = np.arange(i_min, i_max + 1, dtype=float)
         return ArgumentSchedule(thetas, thetas[:-1].copy(), i_min, 1.0, kind="epca")
 
     if kind == "alternating":
-        i_min, i_max = params["window"]
-        i_min, i_max = int(i_min), int(i_max)
-        if i_max - i_min < 1:
-            raise ScheduleValidationError("window must span at least one interval")
+        i_min, i_max = _window(params)
         idx = np.arange(i_min, i_max + 1, dtype=float)
         thetas = 2.0 * idx - 1.0
         zetas = 2.0 * idx[:-1]
@@ -174,14 +180,14 @@ def make_schedule(kind: str, **params) -> ArgumentSchedule:
         return ArgumentSchedule(thetas, zetas, i_min, float(bound), kind="explicit")
 
     if kind == "randomized":
-        i_min, i_max = params["window"]
-        i_min, i_max = int(i_min), int(i_max)
+        i_min, i_max = _window(params)
         bound = float(params["theta_bound"])
+        if not 0 < bound < np.inf:
+            raise ScheduleValidationError(
+                f"theta_bound must be finite and positive, got {bound}")
         seed = params["seed"]
         t_start = float(params.get("t_start", 0.0))
         n = i_max - i_min
-        if n < 1:
-            raise ScheduleValidationError("window must span at least one interval")
         rng = np.random.default_rng(seed)
         # bound - U[0, 3*bound/4) lies in (bound/4, bound]
         gaps = bound - rng.uniform(0.0, 0.75 * bound, size=n)

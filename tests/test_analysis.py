@@ -144,6 +144,13 @@ class TestComputeConstants:
             assert (np.linalg.norm(sla.expm(A * t), 2)
                     <= math.exp(Omega * abs(t)) + 1e-12)
 
+    def test_overflow_fails_the_conditions(self, epca_sched, diag_split):
+        # M l theta = 1e30: x e^x overflows a float, and the conditions fail
+        # instead of raising
+        b = compute_constants(np.diag([-1.0, 0.0]), diag_split, epca_sched, 1e30)
+        assert b.c5_values[0] == math.inf and b.c5_values[2] == math.inf
+        assert not any(b.c5_pass) and not b.c10_pass
+
     def test_p_monotone_towards_sigma(self, epca_sched, diag_split):
         sigma = diag_split.sigma
         ps = [compute_constants(np.diag([-1.0, 0.0]), diag_split, epca_sched,

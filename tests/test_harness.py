@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -528,6 +530,28 @@ class TestConfigFailuresLeaveRecord:
         assert err["type"] == "ConfigError" and "run.z0" in err["message"]
 
 
+@pytest.mark.parametrize("recipe,status", [("conditions", 0),
+                                           ("manifold-G", 3)])
+def test_overflowing_constants_fail_the_smallness_conditions(recipe, status,
+                                                             tmp_path):
+    # center-cubic with a = 1e30: x e^x in the contraction constants
+    # overflows a float
+    cfg = simulate_config(
+        recipe=recipe, run=_MANIFOLD_RUN,
+        system={"matrix": [[-1.0, 0.0], [0.0, 0.0]],
+                "nonlinearity": {"name": "center-cubic",
+                                 "params": {"a": 1e30}}})
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(ExperimentConfig.from_dict(cfg), tmp_path) == status
+    report = json.loads((tmp_path / "report.json").read_text())
+    if status:
+        assert report["error"]["type"] == "SmallnessError"
+    else:
+        entries = {e["name"]: e["passed"] for e in report["entries"]}
+        assert not entries["contraction-smallness"]
+        assert not entries["manifold-smallness"]
+
+
 def _with(cfg, path, value):
     """A copy of cfg with the dotted key path set to value; an empty path
     replaces the whole config."""
@@ -593,6 +617,14 @@ _BAD_INPUTS = [pytest.param(recipe, path, value, flags,
     ("reduce", "manifold.cache_box", 0.0),
     ("reduce", "manifold.cache_box", [[1.0], [-1.0]]),
     ("reduce", "manifold.cache_box", [1.0, 2.0, 3.0]),
+    ("simulate", "system.nonlinearity.name", ["zero"]),
+    ("simulate", "system.nonlinearity.name", {"name": "zero"}),
+    ("simulate", "schedule.window", [-60, float("inf")]),
+    ("simulate", "schedule", {"kind": "randomized", "window": [0, 80],
+                              "theta_bound": float("inf"), "seed": 1}),
+    # counts: checked before any recipe runs, so no long loop starts
+    ("simulate", "solver.step", 1e-300),
+    ("stability", "stability.n_random_dirs", 1e9),
 ]]
 
 

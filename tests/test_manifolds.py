@@ -680,9 +680,9 @@ class TestQuadratureSweeps:
         errs = []
         for h in (0.1, 0.05):
             grid = _PanelGrid(epca_sched, 0.0, 6.0, h)
-            gv = np.array([[g(t)] for t in grid.ts[grid.rows]])
-            X = _sweep(_sweep_tables(B, grid), gv, x0)
-            errs.append(abs(X[-1, 0] - exact))
+            gv = np.array([[[g(t)]] for t in grid.ts[grid.rows]])
+            X = _sweep(_sweep_tables(B, grid), gv, x0[None])
+            errs.append(abs(X[-1, 0, 0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
     def test_backward_sweep_fourth_order_neutral_kernel(self, epca_sched):
@@ -695,10 +695,10 @@ class TestQuadratureSweeps:
         errs = []
         for h in (0.1, 0.05):
             grid = _PanelGrid(epca_sched, 0.0, 6.0, h)
-            gv = np.array([[g(t)] for t in grid.ts[grid.rows]])
-            X = _sweep(_sweep_tables(B, grid, backward=True), gv, xT,
+            gv = np.array([[[g(t)]] for t in grid.ts[grid.rows]])
+            X = _sweep(_sweep_tables(B, grid, backward=True), gv, xT[None],
                        backward=True)
-            errs.append(abs(X[0, 0] - exact))
+            errs.append(abs(X[0, 0, 0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
     @pytest.mark.parametrize("kind", ["epca", "alternating", "randomized"])
@@ -725,9 +725,10 @@ class TestQuadratureSweeps:
         gv = [np.array([g(t) for t in grid.ts[start:start + n_sub + 1]])
               for start, n_sub in zip(grid.start, grid.n_sub)]
         x = np.array([0.7, -0.4])
-        fwd = _sweep(_sweep_tables(B, grid), np.concatenate(gv), x)
-        bwd = _sweep(_sweep_tables(B, grid, backward=True), np.concatenate(gv),
-                     x, backward=True)
+        samples = np.concatenate(gv)[:, None]   # one column
+        fwd = _sweep(_sweep_tables(B, grid), samples, x[None])[:, 0]
+        bwd = _sweep(_sweep_tables(B, grid, backward=True), samples, x[None],
+                     backward=True)[:, 0]
         for new, old in ((fwd, forward_sweep(B, grid, gv, x)),
                          (bwd, backward_sweep(B, grid, gv, x))):
             assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
@@ -765,14 +766,40 @@ class TestQuadratureSweeps:
             sweeps.append(len(res.deltas))
         assert 3 <= sweeps[0] < sweeps[1]
 
+    @pytest.mark.parametrize("kind", ["epca", "alternating", "randomized"])
+    @pytest.mark.parametrize("B", [[[-0.6]], [[-0.6, 1.5], [0.0, -0.2]],
+                                   [[0.0, 1.0], [-1.0, 0.0]]])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_stacked_columns_are_one_column_sweeps(self, kind, B, backward):
+        # each column of a stacked sweep is its one-column sweep, bit for
+        # bit; that is the sweep of one vector before columns were stacked,
+        # except on single-panel shape groups (every randomized panel), where
+        # a one-row product is now a matrix product and may round apart
+        sched = SCHEDULES[kind]()
+        grid = _PanelGrid(sched, sched.thetas[3], sched.thetas[12], 0.1)
+        B = np.array(B)
+        rng = np.random.default_rng(len(B) + 7 * backward)
+        gv = rng.normal(size=(grid.offsets[-1], 4, len(B)))
+        x0 = rng.normal(size=(4, len(B)))
+        tables = _sweep_tables(B, grid, backward=backward)
+        X = _sweep(tables, gv, x0, backward=backward)
+        for r in range(4):
+            one = _sweep(tables, gv[:, r:r + 1], x0[r:r + 1], backward=backward)
+            assert X[:, r].tobytes() == one[:, 0].tobytes()
+            old = parent_sweep(tables, gv[:, r], x0[r], backward=backward)
+            if kind == "randomized":
+                assert np.allclose(X[:, r], old, rtol=1e-13, atol=1e-15)
+            else:
+                assert X[:, r].tobytes() == old.tobytes()
+
     @pytest.mark.parametrize("backward", [False, True])
     def test_zero_dimensional_block(self, epca_sched, backward, monkeypatch):
         monkeypatch.setattr(scipy.linalg, "expm", None)  # no kernel is built
         grid = _PanelGrid(epca_sched, 0.0, 3.0, 0.1)
         tables = _sweep_tables(np.zeros((0, 0)), grid, backward=backward)
-        gv = np.zeros((grid.offsets[-1], 0))
-        X = _sweep(tables, gv, np.zeros(0), backward=backward)
-        assert X.shape == (len(grid.ts), 0)
+        gv = np.zeros((grid.offsets[-1], 3, 0))
+        X = _sweep(tables, gv, np.zeros((3, 0)), backward=backward)
+        assert X.shape == (len(grid.ts), 3, 0)
 
 
 def _kernels(B, delta, cache):
@@ -1032,6 +1059,38 @@ class TestStackedNonlinearity:
 # the unshifted iteration against the shifted one it replaced
 # ---------------------------------------------------------------------------
 
+def parent_sweep(tables, gvals, x0, backward=False):
+    """The sweep of one vector that stacked columns replaced: samples
+    (S, d), start (d,), output (N, d)."""
+    n_nodes, d, ends, steps, groups = tables
+    X = np.zeros((n_nodes, d))
+    if d == 0:
+        return X
+    if backward:
+        gvals = -gvals[::-1]
+    sums = np.empty((len(steps), d))
+    parts = []
+    for (dl, E1t, E2t, E1invt, _, _, Tt), where, samples, _, _ in groups:
+        g = gvals[samples]
+        gE1, gE2, gE1inv = ((g.reshape(-1, d) @ E).reshape(g.shape)
+                            for E in (E1t, E2t, E1invt))
+        c = (dl / 3.0) * (gE2[:, :-1:2] + 4.0 * gE1[:, 1::2] + g[:, 2::2])
+        Tc = c.reshape(len(where), -1) @ Tt
+        sums[where] = Tc[:, -d:]
+        parts.append((Tc[:, :-d], (dl / 12.0) * (
+            5.0 * gE1[:, :-1:2] + 8.0 * g[:, 1::2] - gE1inv[:, 2::2])))
+    x = X[0] = np.asarray(x0, dtype=float)
+    for p, E2h in enumerate(steps):
+        x = X[ends[p + 1]] = E2h @ x + sums[p]
+    for (table, where, _, even, odd), (Tc, odd_part) in zip(groups, parts):
+        E1t, Pt = table[1], table[5]
+        x = X[ends[where]]
+        Xe = X[even] = (x @ Pt + Tc).reshape(even.shape + (d,))
+        prev = np.concatenate([x[:, None], Xe], axis=1)
+        X[odd] = odd_part + (prev.reshape(-1, d) @ E1t).reshape(prev.shape)
+    return X[::-1] if backward else X
+
+
 def parent_picard(Bp, Bm, gfun, grid, u0, v_end, tol, max_iter):
     """The successive approximation with the plain sup-norm delta and the
     nonlinearity gfun(t, z, w, t_beta) on stacked per-node arguments,
@@ -1046,8 +1105,8 @@ def parent_picard(Bp, Bm, gfun, grid, u0, v_end, tol, max_iter):
                 for start, n_sub, b in zip(grid.start, grid.n_sub, grid.beta_idx)
                 for q in range(n_sub + 1)]
         g = gfun(*map(np.array, zip(*args)))
-        U = _sweep(fwd, g[:, :k], u0)
-        V = _sweep(bwd, g[:, k:], v_end, backward=True)
+        U = parent_sweep(fwd, g[:, :k], u0)
+        V = parent_sweep(bwd, g[:, k:], v_end, backward=True)
         Znew = np.hstack([U, V])
         deltas.append(float(np.max(np.linalg.norm(Znew - Z, axis=1))))
         Z = Znew
@@ -1137,9 +1196,9 @@ class TestUnshiftedIteration:
             return trajs[-1]
 
         def picard(*args):
-            Z, deltas = manifolds._picard(*args)
-            runs.append((trajs[-1], args, Z))
-            return Z, deltas
+            out = manifolds._picard(*args)
+            runs.append((trajs[-1], args, out[0]))
+            return out
 
         monkeypatch.setattr(reduction, "solve_forward", solve_forward)
         monkeypatch.setattr(reduction, "_picard", picard)
@@ -1155,5 +1214,7 @@ class TestUnshiftedIteration:
                           for ss in (t, t_beta))
                 return fblock(t, Zb + mt, Wb + mb) - fblock(t, mt, mb)
 
-            old, _ = parent_picard(Bp, Bm, q, grid, u0, v_end, tol, max_iter)
-            assert np.array_equal(Z, old)
+            assert u0.shape[0] == Z.shape[1] == 1   # one column
+            old, _ = parent_picard(Bp, Bm, q, grid, u0[0], v_end[0], tol,
+                                   max_iter)
+            assert np.array_equal(Z[:, 0], old)
