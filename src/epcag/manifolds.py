@@ -627,6 +627,9 @@ class CenterEvaluator:
         self.resolution = int(resolution)
         if self.resolution < 2:
             raise ParameterError("resolution must be at least 2")
+        if self.resolution ** nm > 10**6:  # checked before any table exists
+            raise ConfigError(f"cache_resolution^{nm} = {self.resolution ** nm}"
+                              " cells per time node, more than 10^6")
         self.horizon = horizon = default_stable_horizon(split, max(tol, 1e-10))
         self.time_period = time_period
         if time_period is not None:
@@ -651,7 +654,11 @@ class CenterEvaluator:
                 "advanced anchors use the native anchor times, and the "
                 "schedule must extend one horizon before them")
         self._table: dict = {}  # time node index -> cells (nan: unfilled)
-        self._bits = np.array(list(itertools.product((0, 1), repeat=nm)))
+        # coordinate corners in product order (first coordinate slowest):
+        # bits (corner, 1, axis) and offsets (corner, 1) in a flat table
+        bits = np.array(list(itertools.product((0, 1), repeat=nm)))
+        self._strides = self.resolution ** np.arange(nm - 1, -1, -1)
+        self._bits, self._offsets = bits[:, None] > 0, bits @ self._strides
         self._lo_edge, self._hi_edge = self.lo - 1e-12, self.hi + 1e-12
         self._spacing = (self.hi - self.lo) / (self.resolution - 1)
         self._P: float | None = None
@@ -712,13 +719,13 @@ class CenterEvaluator:
         pos = (V - self.lo) / self._spacing
         base = np.minimum(np.maximum(np.floor(pos), 0.0), self.resolution - 2)
         frac = pos - base
-        # coordinate corners in product order (first coordinate slowest):
-        # per-axis weights (corner, row, axis), whether all are positive,
-        # and the cells (axis, corner, row)
-        bits = self._bits
-        axw = np.where(bits[:, None, :], frac, 1.0 - frac)
-        use = np.logical_and.reduce(axw > 0, axis=2)
-        cells = base.T.astype(int)[:, None, :] + bits.T[:, :, None]
+        # per-axis weights (corner, row, axis), the corners whose weights
+        # are all positive (None: every corner, off the cell faces) and the
+        # flat cells (corner, row)
+        axw = np.where(self._bits, frac, 1.0 - frac)
+        use = (None if frac.min() > 0.0 and frac.max() < 1.0
+               else np.logical_and.reduce(axw > 0, axis=2))
+        cells = base.astype(int) @ self._strides + self._offsets[:, None]
         out = np.zeros((len(V), self.split.k))
         for ti, weight in ((j, 1.0 - lam), (j + 1, lam)):
             if not weight > 0:
@@ -731,23 +738,29 @@ class CenterEvaluator:
         return out
 
     def _corner_values(self, ti: int, cells: np.ndarray,
-                       use: np.ndarray) -> np.ndarray:
-        """Cached graph values at time node ``ti`` and the coordinate
-        indices ``cells`` (first axis), filling each missing cell where
-        ``use`` holds with one :meth:`point`; 0.0 where ``use`` fails."""
+                       use: np.ndarray | None) -> np.ndarray:
+        """Cached graph values at time node ``ti`` and the flat ``cells``,
+        filling each missing cell where ``use`` holds (None: everywhere)
+        with one :meth:`point`; 0.0 where ``use`` fails (an unused corner's
+        weight is zero, or negative on the box's edge tolerance)."""
+        shape = (self.resolution,) * len(self.lo)
         table = self._table.get(ti)
         if table is None:
-            table = self._table[ti] = np.full(
-                (self.resolution,) * len(self.lo) + (self.split.k,), np.nan)
-        vals = table[tuple(cells)]
-        missing = use & np.isnan(vals[..., 0])
+            table = self._table[ti] = np.full(shape + (self.split.k,), np.nan)
+        flat = table.reshape(-1, self.split.k)  # a view
+        vals = flat[cells]
+        missing = np.isnan(vals[..., 0])
+        if use is not None:
+            missing &= use
         if missing.any():
-            for cell in np.unique(cells[:, missing].T, axis=0):
-                d = self.lo + cell.astype(float) * (self.hi - self.lo) / (
+            for cell in np.unique(cells[missing]):
+                d = self.lo + np.array(np.unravel_index(cell, shape),
+                                       dtype=float) * (self.hi - self.lo) / (
                     self.resolution - 1)
-                table[tuple(cell)] = self.point(float(self.time_nodes[ti]), d)
-            vals = table[tuple(cells)]
-        vals[~use] = 0.0
+                flat[cell] = self.point(float(self.time_nodes[ti]), d)
+            vals = flat[cells]
+        if use is not None:
+            vals[~use] = 0.0
         return vals
 
     def empirical_P(self, pairs: int = 20, seed: int = 0) -> float:

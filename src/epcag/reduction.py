@@ -101,20 +101,26 @@ def build_reduced(sys: HybridSystem, sched: ArgumentSchedule,
         raise DegenerateDimensionError(
             "every direction decays (k = n); there is nothing to reduce")
     fblock = _block_f(sys.f_stacked, split)
-    anchor: dict = {}  # the latest anchor lookup; it repeats while w is frozen
+    # the latest anchor lookup, which repeats while w is frozen: beta's
+    # interval [lo, hi), beta there, the bytes of vbar and G(beta, vbar)
+    memo = [np.inf, -np.inf, None, None, None]
 
     def f_red(t, v, vbar):
         if np.ndim(v) < 2:  # one point is a stack of one row
             return f_red(np.reshape(t, 1), np.reshape(v, (1, nm)),
                          np.reshape(vbar, (1, nm)))[0]
         t, vbar = np.asarray(t, dtype=float), np.asarray(vbar, dtype=float)
-        if np.all(t == t[0]):  # one time cell and one anchor for every row
-            tc, tb = t[0], sched.beta(t[0])
-            key = (tb, vbar.tobytes())
-            if key not in anchor:
-                anchor.clear()
-                anchor[key] = g_eval.at(tb, vbar)
-            ub = anchor[key]
+        if (t == t[0]).all():  # one time cell and one anchor for every row
+            tc, key = t[0], vbar.tobytes()
+            lo, hi, tb, kb, ub = memo
+            if not lo <= tc < hi:
+                i = sched.interval_index(tc)
+                lo, hi, tb = sched.theta(i), sched.theta(i + 1), sched.zeta(i)
+                # t_max belongs to the last interval
+                hi = hi if i + 1 < sched.i_max else np.nextafter(hi, np.inf)
+            if tb != memo[2] or key != kb:
+                ub = g_eval.at(tb, vbar)
+            memo[:] = lo, hi, tb, key, ub
         else:
             tc = t
             ub = g_eval.at(np.array([sched.beta(s) for s in t]), vbar)
@@ -300,17 +306,19 @@ def _march_star(sys, sched, t0, horizon, intervals, star, step, tol,
             elif err is not None:
                 stalled[q] = err
         rows = np.flatnonzero(res.live)
-        if rows.size:
-            seg = res.segment
-            mask = (seg.ts >= t0 - 1e-12) & (seg.ts <= t_end + 1e-12)
-            norms = np.linalg.norm(seg.zs[mask][:, rows], axis=2)
-            env_ts.extend(np.asarray(seg.ts[mask]) - t0)
-        for c, r in enumerate(rows):
+        if not rows.size:  # no member left: the march ends here
+            continue
+        seg = res.segment
+        mask = (seg.ts >= t0 - 1e-12) & (seg.ts <= t_end + 1e-12)
+        norms = np.linalg.norm(seg.zs[mask][:, rows], axis=2)
+        env_ts.extend(np.asarray(seg.ts[mask]) - t0)
+        reached = min(sched.theta(seg.index + 1), t_end) - t0
+        for r, col, peak in zip(rows, norms.T.tolist(),
+                                norms.max(axis=0).tolist()):
             q = members[r]
-            env[q].extend(norms[:, c])
-            max_exc[q] = max(max_exc[q], float(np.max(norms[:, c])))
-            final_norm[q] = float(norms[-1, c])
-            t_reached[q] = min(sched.theta(seg.index + 1), t_end) - t0
+            env[q].extend(col)
+            max_exc[q] = max(max_exc[q], peak)
+            final_norm[q], t_reached[q] = col[-1], reached
             if max_exc[q] > ESCAPE_FACTOR * star[q][0]:
                 escaped[q] = True
                 res.live[r] = False

@@ -133,13 +133,16 @@ def beta(t: float, sched: ArgumentSchedule) -> float:
 
 def _window(params) -> tuple:
     """The index window (i_min, i_max) of ``params``: finite, spanning at
-    least one interval."""
+    least one interval and at most 10^6, checked before any array is laid."""
     i_min, i_max = params["window"]
     if not np.all(np.isfinite([i_min, i_max])):
         raise ScheduleValidationError(f"window must be finite, got {[i_min, i_max]}")
     i_min, i_max = int(i_min), int(i_max)
     if i_max - i_min < 1:
         raise ScheduleValidationError("window must span at least one interval")
+    if i_max - i_min > 10**6:
+        raise ScheduleValidationError(
+            f"window spans {i_max - i_min} intervals, more than 10^6")
     return i_min, i_max
 
 

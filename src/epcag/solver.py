@@ -397,7 +397,8 @@ def _blow_ups(ts, zs):
     finite = np.isfinite(zs).all(axis=2)
     for r in np.flatnonzero(~finite.all(axis=0)):
         k = np.flatnonzero(finite[:, r])
-        yield int(r), float(ts[k[0] if finite[-1, r] else k[-1]])
+        if k.size:  # a row given non-finite is left to its caller
+            yield int(r), float(ts[k[0] if finite[-1, r] else k[-1]])
 
 
 def _interval_step(sched: ArgumentSchedule, i: int, t_anchor: float,
@@ -495,10 +496,12 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     path is kept as the segment's anchor leg, and :func:`integrate_interval`
     with that sweep's input w integrates the rest of the interval once;
     ``AnchorResult.w`` is that sweep's output.  An explicit anchor
-    (zeta_i = t_anchor) has no leg and takes no step until that one
-    integration.  Raises :class:`NonContractionError` with the observed
-    ratio sequence when the iteration fails to settle; a blow-up outside the
-    stretch surfaces from the final integration.
+    (zeta_i = t_anchor) with finite data, ``tol > 0`` and ``max_iter > 0``
+    is its own w: it returns that one integration at once, as one iteration
+    of delta 0 per row, with no fixed-point work.  Raises
+    :class:`NonContractionError` with the observed ratio sequence when the
+    iteration fails to settle; a blow-up outside the stretch surfaces from
+    the final integration.
 
     Stacked rows ``z_anchor`` of shape ``(m, n)`` share the sweeps but
     iterate each on its own: a settled row is frozen, with its path from the
@@ -517,6 +520,18 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     span = _node_grid(min(t_anchor, zeta), max(t_anchor, zeta), None, h)
     span = span if zeta >= t_anchor else span[::-1]
     one = z_anchor.ndim == 1
+    if len(span) == 1 and tol > 0 and max_iter > 0 and np.isfinite(
+            z_anchor).all():  # explicit: w is the data point, settled at once
+        seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, z_anchor,
+                                 step)
+        if one:
+            return AnchorResult(z_anchor.copy(), 1, 0.0, [0.0], [], seg)
+        errors = [None] * len(z_anchor)
+        for r, t in _blow_ups(seg.ts, seg.zs):
+            errors[r] = BlowUpError(t, interval=i)
+        return AnchorResult(z_anchor.copy(), len(errors), [0.0] * len(errors),
+                            [[0.0] for _ in errors], [[] for _ in errors], seg,
+                            errors, np.array([e is None for e in errors]))
     Z = np.atleast_2d(z_anchor)  # a lone state is a stack of one row here
     m = len(Z)
     errors: list = [None] * m
@@ -524,8 +539,6 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
 
     def sweep(rows):  # values at zeta_i of ``rows``, w-slots frozen at W
         nonlocal path
-        if len(span) == 1:
-            return Z[rows]
         if one:  # a lone state raises its own BlowUpError
             path = _rk4_path(sys, span, z_anchor, W[0], i)
             return path[0][-1:]
@@ -541,7 +554,7 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     ratios: list = [[] for _ in range(m)]
     settled: dict = {}  # row -> (the settling sweep's input w, its output)
     # each stacked row's anchor leg, copied from the sweep it settles at
-    legs = None if one or path is None else np.empty((2,) + path[0].shape)
+    legs = None if one else np.empty((2,) + path[0].shape)
     rows = [r for r in range(m) if errors[r] is None]
     for _ in range(max_iter):
         if not rows:
@@ -559,7 +572,7 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
                                                 interval=i, max_iter=max_iter)
             elif delta < tol:
                 settled[r] = W[r], w_next
-                if legs is not None:
+                if not one:
                     legs[0][:, r], legs[1][:, r] = path[0][:, k], path[1][:, k]
             else:
                 W[r] = w_next
@@ -584,8 +597,7 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     ok = sorted(settled)
     if ok:
         part = integrate_interval(sys, sched, i, t_anchor, Z[ok], W_in[ok],
-                                  step, None if legs is None else
-                                  (legs[0][:, ok], legs[1][:, ok]))
+                                  step, (legs[0][:, ok], legs[1][:, ok]))
         zs = np.full((len(part.ts), m, Z.shape[1]), np.nan)
         dzs = zs.copy()
         zs[:, ok], dzs[:, ok] = part.zs, part.dzs
@@ -653,19 +665,13 @@ def _march(sys, sched, t_a, z_a, intervals, step, tol, max_iter):
     forward = intervals.step > 0
     z_a = np.asarray(z_a, dtype=float)
     for i in intervals:
-        try:
-            res = solve_anchor(sys, sched, i, t_a, z_a, step, tol, max_iter)
-        except (NonContractionError, BlowUpError) as err:
-            if getattr(err, "interval", None) is None:
-                err.interval = i
-            raise
+        res = solve_anchor(sys, sched, i, t_a, z_a, step, tol, max_iter)
         yield res
         if res.live is not None and not res.live.any():
             return
         t_a = sched.theta(i + 1) if forward else sched.theta(i)
-        z_a = res.segment.value_at_node(t_a)
-        if res.live is not None:
-            z_a = z_a[res.live]
+        z_a = res.segment.zs[-1 if forward else 0]
+        z_a = z_a.copy() if res.live is None else z_a[res.live]
 
 
 def _trajectory(results, direction, t_span) -> Trajectory:

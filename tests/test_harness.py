@@ -625,6 +625,9 @@ _BAD_INPUTS = [pytest.param(recipe, path, value, flags,
     # counts: checked before any recipe runs, so no long loop starts
     ("simulate", "solver.step", 1e-300),
     ("stability", "stability.n_random_dirs", 1e9),
+    # sizes: rejected before the window's arrays or a cache table exist
+    ("simulate", "schedule.window", [0, 1e12]),
+    ("reduce", "manifold.cache_resolution", 10**7),
 ]]
 
 

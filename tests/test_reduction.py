@@ -16,7 +16,9 @@ from epcag import (
 from epcag import reduction
 from epcag.harness import build_system
 from epcag.errors import (BlowUpError, DegenerateDimensionError,
-                          NonContractionError, ParameterError)
+                          NonContractionError, ParameterError,
+                          ScheduleWindowError)
+from epcag.manifolds import _block_f
 from epcag.solver import _march
 
 
@@ -122,6 +124,108 @@ class TestBuildReduced:
                                  time_period=1.0, time_subdiv=1)
         red = build_reduced(sys, sched, split, g_eval)
         assert red.f_stacked is red.f
+
+
+def parent_f_red(sys, sched, split, g_eval):
+    """The reduced nonlinearity before its anchor memo kept the interval:
+    every call with one time looks up beta(t) in the schedule."""
+    k = split.k
+    nm = sys.dim - k
+    fblock = _block_f(sys.f_stacked, split)
+    anchor = {}
+
+    def f_red(t, v, vbar):
+        if np.ndim(v) < 2:
+            return f_red(np.reshape(t, 1), np.reshape(v, (1, nm)),
+                         np.reshape(vbar, (1, nm)))[0]
+        t, vbar = np.asarray(t, dtype=float), np.asarray(vbar, dtype=float)
+        if np.all(t == t[0]):
+            tc, tb = t[0], sched.beta(t[0])
+            key = (tb, vbar.tobytes())
+            if key not in anchor:
+                anchor.clear()
+                anchor[key] = g_eval.at(tb, vbar)
+            ub = anchor[key]
+        else:
+            tc = t
+            ub = g_eval.at(np.array([sched.beta(s) for s in t]), vbar)
+        zb = np.concatenate([g_eval.at(tc, v), v], axis=1)
+        wb = np.concatenate([ub, vbar], axis=1)
+        return fblock(t, zb, wb)[:, k:]
+
+    return f_red
+
+
+class TestReducedRhs:
+    """f_red finds its anchor from the memoized interval instead of the
+    schedule: bitwise the parent's values, with as many graph lookups."""
+
+    @staticmethod
+    def stack(kind):
+        sys = build_system({"matrix": [[-1.0, 0.0], [0.0, 0.0]],
+                            "nonlinearity": {"name": "center-cubic",
+                                             "params": {"a": 0.012}}})
+        period = None
+        if kind == "epca":
+            sched, period = make_schedule("epca", window=(-60, 80)), 1.0
+        elif kind == "alternating":
+            sched = make_schedule("alternating", window=(-15, 30))
+        else:
+            sched = make_schedule("randomized", window=(-40, 40),
+                                  theta_bound=1.0, seed=5, t_start=-30.0)
+        split = spectral_split(sys.A)
+        bundle = compute_constants(sys.A, split, sched, sys.lipschitz_l,
+                                   alpha=0.25)
+        g_eval = CenterEvaluator(sys, sched, split, bundle, box=2.0,
+                                 resolution=9, tol=1e-6, quad_step=0.1,
+                                 time_period=period, time_subdiv=2)
+        return sys, sched, split, g_eval
+
+    @staticmethod
+    def calls(sched):
+        """Stage-like calls over two intervals and at t_max: interval ends,
+        mid-interval stage times, vbar repeating and changing, one point and
+        stacked rows, and one stack of mixed times."""
+        rows = np.array([[0.3], [-0.5], [1.1]])
+        i = sched.interval_index(12.0)
+        out = []
+        for j in (i, i + 1):
+            lo, hi = sched.theta(j), sched.theta(j + 1)
+            h = (hi - lo) / 4
+            for vbar in (0.9 * rows, 0.9 * rows, 0.7 * rows[::-1]):
+                for t in (lo, lo + h / 2, lo + h, hi - h / 2, hi):
+                    out.append((np.full(3, t), rows + 0.01 * (t - lo), vbar))
+            out.append((lo + h / 2, rows[0], rows[1]))
+            out.append((np.array([lo, lo + h / 2, hi]), rows, 0.9 * rows))
+        t_max = sched.t_max
+        out += [(np.full(3, t_max), rows, rows), (t_max, rows[2], rows[0]),
+                (np.full(3, t_max - 1e-3), rows, rows)]
+        return out
+
+    @pytest.mark.parametrize("kind", ["epca", "alternating", "randomized"])
+    def test_bitwise_the_parent_with_as_many_lookups(self, kind, monkeypatch):
+        sys, sched, split, g_eval = self.stack(kind)
+        new = build_reduced(sys, sched, split, g_eval).f
+        old = parent_f_red(sys, sched, split, g_eval)
+        counts = []
+        at = CenterEvaluator.at
+
+        def counted(self, t, v):
+            counts[-1] += 1
+            return at(self, t, v)
+
+        monkeypatch.setattr(CenterEvaluator, "at", counted)
+        results = []
+        for f in (new, old):
+            counts.append(0)
+            results.append([f(*call) for call in self.calls(sched)])
+        assert counts[0] == counts[1]
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+        for f in (new, old):
+            with pytest.raises(ScheduleWindowError):
+                f(np.full(3, sched.t_max + 0.5), np.zeros((3, 1)),
+                  np.zeros((3, 1)))
 
 
 class TestAsymptoticPhase:

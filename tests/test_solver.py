@@ -14,7 +14,8 @@ from epcag import (
     solve_forward,
 )
 from epcag.errors import BlowUpError, NonContractionError
-from epcag.solver import _blow_ups, _march, _node_grid, _rk4_path
+from epcag.solver import (_DELTA_EXPLOSION, AnchorResult, Segment, _blow_ups,
+                          _interval_step, _march, _node_grid, _rk4_path)
 
 E3 = math.exp(3.0)
 
@@ -359,6 +360,211 @@ class TestSolveAnchorWork:
             solve_anchor(sys, sched, 0, 0.0, np.array([1.0]), 0.05, 1e-12)
         assert ei.value.interval == 0
         assert 0.5 <= ei.value.last_finite_time < 1.0
+
+
+# ---------------------------------------------------------------------------
+# explicit anchors against the fixed-point loop they used to go through
+# ---------------------------------------------------------------------------
+
+def parent_solve_anchor(sys, sched, i, t_anchor, z_anchor, step, tol,
+                        max_iter=50):
+    """The anchor solve before explicit anchors returned early: a one-node
+    span runs the fixed-point loop, each sweep handing back the data point."""
+    zeta = sched.zeta(i)
+    z_anchor = np.array(z_anchor, dtype=float)
+    h = _interval_step(sched, i, t_anchor, step)
+    span = _node_grid(min(t_anchor, zeta), max(t_anchor, zeta), None, h)
+    span = span if zeta >= t_anchor else span[::-1]
+    one = z_anchor.ndim == 1
+    Z = np.atleast_2d(z_anchor)
+    m = len(Z)
+    errors = [None] * m
+    path = None
+
+    def sweep(rows):
+        nonlocal path
+        if len(span) == 1:
+            return Z[rows]
+        if one:
+            path = _rk4_path(sys, span, z_anchor, W[0], i)
+            return path[0][-1:]
+        path = _rk4_path(sys, span, Z[rows], W[rows], i)
+        for r, t in _blow_ups(span, path[0]):
+            errors[rows[r]] = BlowUpError(t, interval=i)
+        return path[0][-1]
+
+    W = Z
+    W = sweep(np.arange(m))
+    scales = [max(1.0, float(np.linalg.norm(w))) for w in W]
+    deltas = [[] for _ in range(m)]
+    ratios = [[] for _ in range(m)]
+    settled = {}
+    legs = None if one or path is None else np.empty((2,) + path[0].shape)
+    rows = [r for r in range(m) if errors[r] is None]
+    for _ in range(max_iter):
+        if not rows:
+            break
+        still = []
+        for k, (r, w_next) in enumerate(zip(rows, sweep(rows))):
+            if errors[r] is not None:
+                continue
+            delta = float(np.linalg.norm(w_next - W[r]))
+            if deltas[r] and deltas[r][-1] > 0:
+                ratios[r].append(delta / deltas[r][-1])
+            deltas[r].append(delta)
+            if not np.isfinite(delta) or delta > _DELTA_EXPLOSION * scales[r]:
+                errors[r] = NonContractionError(deltas[r], ratios[r],
+                                                interval=i, max_iter=max_iter)
+            elif delta < tol:
+                settled[r] = W[r], w_next
+                if legs is not None:
+                    legs[0][:, r], legs[1][:, r] = path[0][:, k], path[1][:, k]
+            else:
+                W[r] = w_next
+                still.append(r)
+        rows = still
+    for r in rows:
+        errors[r] = NonContractionError(deltas[r], ratios[r], interval=i,
+                                        max_iter=max_iter)
+    if one:
+        if errors[0] is not None:
+            raise errors[0]
+        w, w_next = settled[0]
+        seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, w, step,
+                                 path)
+        return AnchorResult(w=w_next, iterations=len(deltas[0]),
+                            last_delta=deltas[0][-1], deltas=deltas[0],
+                            ratios=ratios[0], segment=seg)
+    W_in, W_out = np.full_like(Z, np.nan), np.full_like(Z, np.nan)
+    for r, (w, w_next) in settled.items():
+        W_in[r], W_out[r] = w, w_next
+    seg = None
+    ok = sorted(settled)
+    if ok:
+        part = integrate_interval(sys, sched, i, t_anchor, Z[ok], W_in[ok],
+                                  step, None if legs is None else
+                                  (legs[0][:, ok], legs[1][:, ok]))
+        zs = np.full((len(part.ts), m, Z.shape[1]), np.nan)
+        dzs = zs.copy()
+        zs[:, ok], dzs[:, ok] = part.zs, part.dzs
+        for r, t in _blow_ups(part.ts, part.zs):
+            errors[ok[r]] = BlowUpError(t, interval=i)
+        seg = Segment(index=i, ts=part.ts, zs=zs, dzs=dzs, w=W_in)
+    return AnchorResult(
+        w=W_out, iterations=sum(map(len, deltas)),
+        last_delta=[d[-1] if d else np.nan for d in deltas], deltas=deltas,
+        ratios=ratios, segment=seg, errors=errors,
+        live=np.array([e is None for e in errors]))
+
+
+def error_record(err):
+    """What an anchor error reports, with nan deltas comparable."""
+    if err is None:
+        return None
+    return (type(err), str(err), getattr(err, "interval", None),
+            getattr(err, "last_finite_time", None),
+            np.asarray(getattr(err, "deltas", [])).tobytes(),
+            np.asarray(getattr(err, "ratios", [])).tobytes())
+
+
+def same_anchor_result(new, old):
+    assert same_bits(new.w, old.w)
+    # repr is exact for floats and makes nan entries comparable
+    assert repr((new.iterations, new.deltas, new.ratios, new.last_delta)) == (
+        repr((old.iterations, old.deltas, old.ratios, old.last_delta)))
+    for name in ("ts", "zs", "dzs", "w"):
+        assert same_bits(getattr(new.segment, name),
+                         getattr(old.segment, name))
+    assert new.segment.index == old.segment.index
+    assert [error_record(e) for e in new.errors or []] == [
+        error_record(e) for e in old.errors or []]
+    assert same_bits(new.live, old.live) and (new.live is None) == (
+        old.live is None)
+
+
+class TestExplicitAnchor:
+    """An explicit anchor (zeta_i = t_anchor) returns its one integration at
+    once: bitwise the fixed-point loop's result, rows, errors and all."""
+
+    @staticmethod
+    def cases():
+        # EPCA (zeta_i = theta_i) and an explicit schedule whose anchors sit
+        # at the left end, inside and at the right end of their intervals
+        yield make_schedule("epca", window=(-1, 6)), [0, 2, 4]
+        thetas = [0.0, 0.8, 1.7, 2.3, 3.2]
+        yield make_schedule("explicit", thetas=thetas,
+                            zetas=[0.0, 1.2, 2.3, 3.2]), [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_bitwise_the_parent_loop(self, mixed_star, stacked):
+        # on mixed_star unit starts along e_1 blow up inside the interval
+        Z = star_points([0.1, 1.0]) if stacked else [0.05, -0.02]
+        seen_blowup = False
+        for sched, intervals in self.cases():
+            for i in intervals:
+                t_a = sched.zeta(i)
+                new = solve_anchor(mixed_star, sched, i, t_a, Z, 0.1, 1e-10)
+                old = parent_solve_anchor(mixed_star, sched, i, t_a, Z, 0.1,
+                                          1e-10)
+                same_anchor_result(new, old)
+                if stacked:
+                    seen_blowup |= any(isinstance(e, BlowUpError)
+                                       for e in new.errors)
+                    assert new.iterations == len(Z)
+                else:
+                    assert (new.iterations, new.deltas) == (1, [0.0])
+        assert seen_blowup == stacked
+
+    def test_lone_blowup_raises_as_the_parent(self, mixed_star):
+        sched = make_schedule("epca", window=(-1, 6))
+        for solve in (solve_anchor, parent_solve_anchor):
+            with pytest.raises(BlowUpError) as ei:
+                solve(mixed_star, sched, 1, 1.0, [1.0, 0.0], 0.1, 1e-10)
+            if solve is solve_anchor:
+                new = ei.value
+        assert error_record(new) == error_record(ei.value)
+
+    @pytest.mark.parametrize("tol, max_iter, z", [
+        pytest.param(0.0, 7, [0.3, -0.1], id="tol-0"),
+        pytest.param(-1.0, 4, [0.3, -0.1], id="tol-negative"),
+        pytest.param(1e-10, 0, [0.3, -0.1], id="max_iter-0"),
+        pytest.param(1e-10, 50, [np.nan, 0.1], id="nan"),
+        pytest.param(1e-10, 50, [0.2, np.inf], id="inf"),
+    ])
+    def test_no_early_return_raises_as_the_parent(self, mixed_star, tol,
+                                                  max_iter, z):
+        sched = make_schedule("epca", window=(-1, 6))
+        records = []
+        for solve in (solve_anchor, parent_solve_anchor):
+            with pytest.raises(NonContractionError) as ei, np.errstate(
+                    invalid="ignore"):
+                solve(mixed_star, sched, 2, 2.0, np.array(z), 0.1, tol,
+                      max_iter)
+            records.append(error_record(ei.value))
+            assert len(ei.value.deltas) == (max_iter if tol <= 0 else
+                                            min(max_iter, 1))
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-10])
+    def test_stacked_rows_off_the_early_return_as_the_parent(self, mixed_star,
+                                                             tol):
+        # tol 0 keeps every row on the loop; a non-finite row keeps the
+        # whole stack there, and only that row fails
+        sched = make_schedule("epca", window=(-1, 6))
+        Z = star_points([0.1])
+        Z[2] = [np.nan, 0.0]
+        new = solve_anchor(mixed_star, sched, 2, 2.0, Z, 0.1, tol, 5)
+        old = parent_solve_anchor(mixed_star, sched, 2, 2.0, Z, 0.1, tol, 5)
+        assert [error_record(e) for e in new.errors] == [
+            error_record(e) for e in old.errors]
+        assert same_bits(new.live, old.live)
+        assert new.iterations == old.iterations
+        if tol > 0:
+            assert isinstance(new.errors[2], NonContractionError)
+            assert new.live.sum() == len(Z) - 1
+            same_anchor_result(new, old)
+        else:
+            assert not new.live.any() and new.segment is old.segment is None
 
 
 def star_points(radii, n_random=2, seed=3):
