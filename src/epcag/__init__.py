@@ -2,7 +2,7 @@
 piecewise constant deviating argument of generalized type."""
 
 from . import errors
-from .schedule import ArgumentSchedule, beta, interval_index, make_schedule
+from .schedule import ArgumentSchedule, make_schedule
 from .solver import (
     AnchorResult,
     HybridSystem,
@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "ArgumentSchedule", "beta", "interval_index", "make_schedule",
+    "ArgumentSchedule", "make_schedule",
     "HybridSystem", "Segment", "Trajectory", "AnchorResult",
     "integrate_interval", "solve_anchor", "solve_forward", "solve_backward",
     "write_trajectory_csv", "trajectory_report",

@@ -37,7 +37,7 @@ from .solver import (
 )
 
 __all__ = ["ExperimentConfig", "run", "catalog_list", "build_system",
-           "schedule_from_dict", "schedule_to_dict", "RECIPES"]
+           "schedule_from_dict", "RECIPES"]
 
 RECIPES = ("simulate", "continue-backward", "manifold-F", "manifold-G",
            "phase", "stability", "reduce", "conditions", "example1")
@@ -200,7 +200,7 @@ def build_system(system_cfg: dict) -> HybridSystem:
 
 
 # ---------------------------------------------------------------------------
-# schedule serialization
+# schedule config
 # ---------------------------------------------------------------------------
 
 def schedule_from_dict(cfg: dict) -> ArgumentSchedule:
@@ -212,18 +212,6 @@ def schedule_from_dict(cfg: dict) -> ArgumentSchedule:
         return make_schedule(kind, **params)
     except (KeyError, TypeError, ValueError, ScheduleValidationError) as exc:
         raise ConfigError(f"schedule config invalid: {exc}") from exc
-
-
-def schedule_to_dict(sched: ArgumentSchedule) -> dict:
-    if sched.kind in ("epca", "alternating"):
-        return {"kind": sched.kind, "window": [sched.i_min, sched.i_max]}
-    return {
-        "kind": "explicit",
-        "thetas": [float(v) for v in sched.thetas],
-        "zetas": [float(v) for v in sched.zetas],
-        "i_min": sched.i_min,
-        "theta_bound": sched.theta_bound,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +504,15 @@ def _recipe_conditions(cfg, sys, sched) -> dict:
 
 
 def _grid_1d(grid_cfg: dict) -> np.ndarray:
+    """``count`` points from ``lo`` to ``hi``: finite ends, at most 1,000
+    points, checked before the grid is laid."""
     lo = float(grid_cfg.get("lo", -1.0))
     hi = float(grid_cfg.get("hi", 1.0))
-    count = int(grid_cfg.get("count", 21))
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    count = _integer(grid_cfg.get("count", 21))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"lo and hi must be finite, got {lo} and {hi}")
+    if not 1 <= count <= 1000:
+        raise ValueError(f"count must lie in [1, 1000], got {count}")
     return np.linspace(lo, hi, count)
 
 
@@ -529,9 +521,9 @@ def _recipe_manifold(cfg, sys, sched, out_dir, kind: str) -> dict:
     mf = cfg.manifold
     rp = cfg.run_params
     try:
-        i = int(rp.get("anchor_index", sched.i_min))
+        i = _integer(rp.get("anchor_index", sched.i_min))
         grid = _grid_1d(rp.get("grid", {}))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"run.anchor_index / run.grid invalid: {exc}") from exc
     zeta = sched.zeta(i)
     coord_dim = split.k if kind == "F" else sys.dim - split.k
@@ -563,20 +555,17 @@ def _recipe_phase(cfg, sys, sched, out_dir) -> dict:
     rp = cfg.run_params
     try:
         z0 = np.asarray(rp["z0"], dtype=float)
-        i = int(rp.get("anchor_index", sched.i_min))
-    except (KeyError, TypeError, ValueError) as exc:
+        i = _integer(rp.get("anchor_index", sched.i_min))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"run.z0 / run.anchor_index invalid: {exc}") from exc
     _check_z0(z0, sys.dim)
     split, bundle = _analysis_stack(sys, sched)
-    sv = cfg.solver
     zeta = sched.zeta(i)
     res = asymptotic_phase(sys, sched, split, bundle, zeta, z0,
-                           tol=cfg.manifold["tol"], step=sv["step"],
+                           tol=cfg.manifold["tol"], step=cfg.solver["step"],
                            quad_step=cfg.manifold["quad_step"])
     write_trajectory_csv(res.companion, out_dir / "trajectory_companion.csv")
-    traj = solve_forward(sys, sched, zeta, z0, res.companion.t_end,
-                         sv["step"], sv["tol"])
-    write_trajectory_csv(traj, out_dir / "trajectory_solution.csv")
+    write_trajectory_csv(res.solution, out_dir / "trajectory_solution.csv")
     return {
         "anchor_time": zeta,
         "d_star": [float(v) for v in res.d_star],

@@ -155,6 +155,7 @@ class DecayReport:
 @dataclass
 class PhaseResult:
     companion: Trajectory
+    solution: Trajectory  # through (zeta, z0): the decay report's other side
     d_star: np.ndarray
     report: DecayReport
     iterations: int
@@ -250,9 +251,9 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
     report = DecayReport(ts=ts, weighted_distance=w, bound=bound,
                          max_weighted=max_w,
                          bounded=bool(max_w <= 1.1 * bound + 1e-12))
-    return PhaseResult(companion=companion, d_star=d, report=report,
-                       iterations=max(iterations, 1), ball_radius=r0,
-                       empirical_P=P)
+    return PhaseResult(companion=companion, solution=ztraj, d_star=d,
+                       report=report, iterations=max(iterations, 1),
+                       ball_radius=r0, empirical_P=P)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ with anchor zeta_i somewhere inside its closure.  Times outside
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ScheduleValidationError, ScheduleWindowError
 
-__all__ = ["ArgumentSchedule", "make_schedule", "beta", "interval_index"]
+__all__ = ["ArgumentSchedule", "make_schedule"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class ArgumentSchedule:
     zetas: np.ndarray
     i_min: int
     theta_bound: float
-    kind: str = field(default="explicit")
 
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=float)
@@ -121,16 +120,6 @@ class ArgumentSchedule:
         return self.zeta(self.interval_index(t))
 
 
-def interval_index(t: float, sched: ArgumentSchedule) -> int:
-    """Functional form of :meth:`ArgumentSchedule.interval_index`."""
-    return sched.interval_index(t)
-
-
-def beta(t: float, sched: ArgumentSchedule) -> float:
-    """Functional form of :meth:`ArgumentSchedule.beta`."""
-    return sched.beta(t)
-
-
 def _window(params) -> tuple:
     """The index window (i_min, i_max) of ``params``: finite, spanning at
     least one interval and at most 10^6, checked before any array is laid."""
@@ -164,14 +153,14 @@ def make_schedule(kind: str, **params) -> ArgumentSchedule:
     if kind == "epca":
         i_min, i_max = _window(params)
         thetas = np.arange(i_min, i_max + 1, dtype=float)
-        return ArgumentSchedule(thetas, thetas[:-1].copy(), i_min, 1.0, kind="epca")
+        return ArgumentSchedule(thetas, thetas[:-1].copy(), i_min, 1.0)
 
     if kind == "alternating":
         i_min, i_max = _window(params)
         idx = np.arange(i_min, i_max + 1, dtype=float)
         thetas = 2.0 * idx - 1.0
         zetas = 2.0 * idx[:-1]
-        return ArgumentSchedule(thetas, zetas, i_min, 2.0, kind="alternating")
+        return ArgumentSchedule(thetas, zetas, i_min, 2.0)
 
     if kind == "explicit":
         thetas = np.asarray(params["thetas"], dtype=float)
@@ -180,7 +169,7 @@ def make_schedule(kind: str, **params) -> ArgumentSchedule:
         bound = params.get("theta_bound")
         if bound is None:
             bound = float(np.max(np.diff(thetas))) if len(thetas) > 1 else 1.0
-        return ArgumentSchedule(thetas, zetas, i_min, float(bound), kind="explicit")
+        return ArgumentSchedule(thetas, zetas, i_min, float(bound))
 
     if kind == "randomized":
         i_min, i_max = _window(params)
@@ -196,6 +185,6 @@ def make_schedule(kind: str, **params) -> ArgumentSchedule:
         gaps = bound - rng.uniform(0.0, 0.75 * bound, size=n)
         thetas = t_start + np.concatenate(([0.0], np.cumsum(gaps)))
         zetas = thetas[:-1] + rng.uniform(0.0, 1.0, size=n) * gaps
-        return ArgumentSchedule(thetas, zetas, i_min, bound, kind="randomized")
+        return ArgumentSchedule(thetas, zetas, i_min, bound)
 
     raise ScheduleValidationError(f"unknown schedule kind {kind!r}")

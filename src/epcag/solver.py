@@ -36,7 +36,7 @@ nonlinearity is a pure function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Optional
 
@@ -239,23 +239,15 @@ def _hermite(ts, zs, dzs, k, t):
 
 
 @dataclass
-class IntervalDiagnostics:
-    index: int
-    iterations: int
-    last_delta: float
-    deltas: list
-    ratios: list
-
-
-@dataclass
 class Trajectory:
-    """Piecewise-smooth numerical solution with breakpoints at the theta_i."""
+    """Piecewise-smooth numerical solution with breakpoints at the theta_i;
+    ``diagnostics`` holds each segment's :class:`AnchorResult`."""
 
     segments: list
     anchors: dict
     direction: str
     t_span: tuple
-    diagnostics: list = field(default_factory=list)
+    diagnostics: list
     nonuniqueness_warning: bool = False
 
     def __post_init__(self):
@@ -288,14 +280,6 @@ class Trajectory:
         k = np.clip(k, first[i], first[i] + sizes[i] - 2)
         return _hermite(ts, np.concatenate([seg.zs for seg in segs]),
                         np.concatenate([seg.dzs for seg in segs]), k, t)
-
-    @property
-    def t0(self) -> float:
-        return self.t_span[0]
-
-    @property
-    def t_end(self) -> float:
-        return self.t_span[1]
 
 
 def _node_grid(a: float, b: float, split_at: Optional[float], h: float) -> np.ndarray:
@@ -497,11 +481,10 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     with that sweep's input w integrates the rest of the interval once;
     ``AnchorResult.w`` is that sweep's output.  An explicit anchor
     (zeta_i = t_anchor) with finite data, ``tol > 0`` and ``max_iter > 0``
-    is its own w: it returns that one integration at once, as one iteration
-    of delta 0 per row, with no fixed-point work.  Raises
-    :class:`NonContractionError` with the observed ratio sequence when the
-    iteration fails to settle; a blow-up outside the stretch surfaces from
-    the final integration.
+    is its own w: it takes no fixed-point work and counts as one iteration
+    of delta 0 per row.  Raises :class:`NonContractionError` with the
+    observed ratio sequence when the iteration fails to settle; a blow-up
+    outside the stretch surfaces from the final integration.
 
     Stacked rows ``z_anchor`` of shape ``(m, n)`` share the sweeps but
     iterate each on its own: a settled row is frozen, with its path from the
@@ -509,6 +492,9 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     every row gets the w, iteration count, deltas, ratios and segment it
     gets alone.  A row's failure does not raise; it is recorded in
     ``AnchorResult.errors``.  The settled rows are integrated together once.
+    A lone state goes through the same bookkeeping as a stack of one row;
+    only its sweeps and integration take the one-state path, and its error
+    is raised at the end.
 
     Contraction is guaranteed when the smallness report of the analysis
     module passes; when it does not, continuation may genuinely fail or be
@@ -520,22 +506,10 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     span = _node_grid(min(t_anchor, zeta), max(t_anchor, zeta), None, h)
     span = span if zeta >= t_anchor else span[::-1]
     one = z_anchor.ndim == 1
-    if len(span) == 1 and tol > 0 and max_iter > 0 and np.isfinite(
-            z_anchor).all():  # explicit: w is the data point, settled at once
-        seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, z_anchor,
-                                 step)
-        if one:
-            return AnchorResult(z_anchor.copy(), 1, 0.0, [0.0], [], seg)
-        errors = [None] * len(z_anchor)
-        for r, t in _blow_ups(seg.ts, seg.zs):
-            errors[r] = BlowUpError(t, interval=i)
-        return AnchorResult(z_anchor.copy(), len(errors), [0.0] * len(errors),
-                            [[0.0] for _ in errors], [[] for _ in errors], seg,
-                            errors, np.array([e is None for e in errors]))
-    Z = np.atleast_2d(z_anchor)  # a lone state is a stack of one row here
+    Z = z_anchor[None] if one else z_anchor  # a lone state: one row here
     m = len(Z)
     errors: list = [None] * m
-    path = None  # the last sweep's (zs, dzs) over the span
+    path = legs = None  # the last sweep's (zs, dzs); each stacked row's leg
 
     def sweep(rows):  # values at zeta_i of ``rows``, w-slots frozen at W
         nonlocal path
@@ -547,68 +521,71 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
             errors[rows[r]] = BlowUpError(t, interval=i)
         return path[0][-1]
 
-    W = Z
-    W = sweep(np.arange(m))
-    scales = [max(1.0, float(np.linalg.norm(w))) for w in W]
-    deltas: list = [[] for _ in range(m)]
-    ratios: list = [[] for _ in range(m)]
-    settled: dict = {}  # row -> (the settling sweep's input w, its output)
-    # each stacked row's anchor leg, copied from the sweep it settles at
-    legs = None if one else np.empty((2,) + path[0].shape)
-    rows = [r for r in range(m) if errors[r] is None]
-    for _ in range(max_iter):
-        if not rows:
-            break
-        still = []
-        for k, (r, w_next) in enumerate(zip(rows, sweep(rows))):
-            if errors[r] is not None:
-                continue
-            delta = float(np.linalg.norm(w_next - W[r]))
-            if deltas[r] and deltas[r][-1] > 0:
-                ratios[r].append(delta / deltas[r][-1])
-            deltas[r].append(delta)
-            if not np.isfinite(delta) or delta > _DELTA_EXPLOSION * scales[r]:
-                errors[r] = NonContractionError(deltas[r], ratios[r],
-                                                interval=i, max_iter=max_iter)
-            elif delta < tol:
-                settled[r] = W[r], w_next
-                if not one:
-                    legs[0][:, r], legs[1][:, r] = path[0][:, k], path[1][:, k]
-            else:
-                W[r] = w_next
-                still.append(r)
-        rows = still
-    for r in rows:
-        errors[r] = NonContractionError(deltas[r], ratios[r], interval=i,
-                                        max_iter=max_iter)
-    if one:
-        if errors[0] is not None:
-            raise errors[0]
-        w, w_next = settled[0]
-        seg = integrate_interval(sys, sched, i, t_anchor, z_anchor, w, step,
-                                 path)
-        return AnchorResult(w=w_next, iterations=len(deltas[0]),
-                            last_delta=deltas[0][-1], deltas=deltas[0],
-                            ratios=ratios[0], segment=seg)
-    W_in, W_out = np.full_like(Z, np.nan), np.full_like(Z, np.nan)
-    for r, (w, w_next) in settled.items():
-        W_in[r], W_out[r] = w, w_next
+    if len(span) == 1 and tol > 0 and max_iter > 0 and all(
+            map(isfinite, z_anchor.ravel().tolist())):
+        # explicit: each row's w is its data point, settled at once
+        W_in = W_out = Z
+        deltas, ratios = [[0.0] for _ in range(m)], [[] for _ in range(m)]
+    else:
+        W = Z
+        W = sweep(np.arange(m))
+        scales = [max(1.0, float(np.linalg.norm(w))) for w in W]
+        deltas, ratios = [[] for _ in range(m)], [[] for _ in range(m)]
+        # each row's settling sweep: its input w and its output
+        W_in, W_out = np.full((2,) + Z.shape, np.nan)
+        # each stacked row's anchor leg, copied from the sweep it settles at
+        legs = None if one else np.empty((2,) + path[0].shape)
+        rows = [r for r in range(m) if errors[r] is None]
+        for _ in range(max_iter):
+            if not rows:
+                break
+            still = []
+            for k, (r, w_next) in enumerate(zip(rows, sweep(rows))):
+                if errors[r] is not None:
+                    continue
+                delta = float(np.linalg.norm(w_next - W[r]))
+                if deltas[r] and deltas[r][-1] > 0:
+                    ratios[r].append(delta / deltas[r][-1])
+                deltas[r].append(delta)
+                if not isfinite(delta) or delta > _DELTA_EXPLOSION * scales[r]:
+                    errors[r] = NonContractionError(
+                        deltas[r], ratios[r], interval=i, max_iter=max_iter)
+                elif delta < tol:
+                    W_in[r], W_out[r] = W[r], w_next
+                    if not one:
+                        legs[:, :, r] = path[0][:, k], path[1][:, k]
+                else:
+                    W[r] = w_next
+                    still.append(r)
+            rows = still
+        for r in rows:
+            errors[r] = NonContractionError(deltas[r], ratios[r], interval=i,
+                                            max_iter=max_iter)
     seg = None
-    ok = sorted(settled)
-    if ok:
+    ok = [r for r in range(m) if errors[r] is None] if any(errors) else None
+    if ok is None:  # every row settled: no nan embedding
+        seg = integrate_interval(sys, sched, i, t_anchor, z_anchor,
+                                 W_in[0] if one else W_in, step,
+                                 path if one else legs)
+    elif ok:
         part = integrate_interval(sys, sched, i, t_anchor, Z[ok], W_in[ok],
-                                  step, (legs[0][:, ok], legs[1][:, ok]))
+                                  step, legs[:, :, ok])
         zs = np.full((len(part.ts), m, Z.shape[1]), np.nan)
         dzs = zs.copy()
         zs[:, ok], dzs[:, ok] = part.zs, part.dzs
-        for r, t in _blow_ups(part.ts, part.zs):
-            errors[ok[r]] = BlowUpError(t, interval=i)
         seg = Segment(index=i, ts=part.ts, zs=zs, dzs=dzs, w=W_in)
-    return AnchorResult(
-        w=W_out, iterations=sum(map(len, deltas)),
-        last_delta=[d[-1] if d else np.nan for d in deltas], deltas=deltas,
-        ratios=ratios, segment=seg, errors=errors,
-        live=np.array([e is None for e in errors]))
+    if one:
+        if errors[0] is not None:
+            raise errors[0]
+        return AnchorResult(W_out[0], len(deltas[0]), deltas[0][-1],
+                            deltas[0], ratios[0], seg)
+    if seg is not None:
+        for r, t in _blow_ups(seg.ts, seg.zs):
+            errors[r] = BlowUpError(t, interval=i)
+    return AnchorResult(W_out, sum(map(len, deltas)),
+                        [d[-1] if d else np.nan for d in deltas], deltas,
+                        ratios, seg, errors,
+                        np.array([e is None for e in errors]))
 
 
 def _locate_right_closed(sched: ArgumentSchedule, t: float) -> int:
@@ -681,11 +658,7 @@ def _trajectory(results, direction, t_span) -> Trajectory:
         results.reverse()
     return Trajectory(
         segments=[res.segment for res in results], anchors=anchors,
-        direction=direction, t_span=t_span,
-        diagnostics=[IntervalDiagnostics(
-            index=res.segment.index, iterations=res.iterations,
-            last_delta=res.last_delta, deltas=res.deltas, ratios=res.ratios)
-            for res in results],
+        direction=direction, t_span=t_span, diagnostics=results,
         nonuniqueness_warning=any(r > 1.0 for res in results
                                   for r in res.ratios),
     )
@@ -713,7 +686,7 @@ def trajectory_report(traj: Trajectory) -> dict:
         "nonuniqueness_warning": bool(traj.nonuniqueness_warning),
         "intervals": [
             {
-                "index": d.index,
+                "index": d.segment.index,
                 "iterations": d.iterations,
                 "last_delta": d.last_delta,
                 "contraction_ratios": [float(r) for r in d.ratios],

@@ -21,7 +21,6 @@ from epcag.harness import (
     catalog_list,
     run,
     schedule_from_dict,
-    schedule_to_dict,
 )
 from epcag.schedule import make_schedule
 
@@ -138,20 +137,6 @@ class TestCatalogStackedContract:
 
 
 class TestScheduleRoundTrip:
-    def test_epca(self):
-        sched = schedule_from_dict({"kind": "epca", "window": [0, 5]})
-        d = schedule_to_dict(sched)
-        again = schedule_from_dict(d)
-        np.testing.assert_array_equal(sched.thetas, again.thetas)
-
-    def test_randomized_to_explicit(self):
-        sched = make_schedule("randomized", window=(0, 10), theta_bound=1.0,
-                              seed=2)
-        d = schedule_to_dict(sched)
-        assert d["kind"] == "explicit"
-        again = schedule_from_dict(d)
-        np.testing.assert_array_equal(sched.zetas, again.zetas)
-
     def test_invalid(self):
         with pytest.raises(ConfigError):
             schedule_from_dict({"kind": "epca"})
@@ -161,16 +146,19 @@ class TestScheduleRoundTrip:
            bound=st.floats(0.1, 5.0), seed=st.integers(0, 2**32 - 1),
            t_start=st.floats(-100.0, 100.0))
     def test_round_trip_property(self, kind, i_min, span, bound, seed, t_start):
+        # a generated schedule's arrays, given as an explicit config through
+        # JSON, build the same schedule
         cfg = {"kind": kind, "window": [i_min, i_min + span]}
         if kind == "randomized":
             cfg.update(theta_bound=bound, seed=seed, t_start=t_start)
         sched = schedule_from_dict(cfg)
-        d = json.loads(json.dumps(schedule_to_dict(sched)))
-        again = schedule_from_dict(d)
+        explicit = {"kind": "explicit", "thetas": sched.thetas.tolist(),
+                    "zetas": sched.zetas.tolist(), "i_min": sched.i_min,
+                    "theta_bound": sched.theta_bound}
+        again = schedule_from_dict(json.loads(json.dumps(explicit)))
         np.testing.assert_array_equal(again.thetas, sched.thetas)
         np.testing.assert_array_equal(again.zetas, sched.zetas)
         assert (again.i_min, again.theta_bound) == (sched.i_min, sched.theta_bound)
-        assert schedule_to_dict(again) == d
 
 
 class TestConfig:
@@ -459,6 +447,41 @@ class TestHeavyRecipes:
         assert (tmp_path / "trajectory_companion.csv").exists()
         assert (tmp_path / "trajectory_solution.csv").exists()
 
+    def test_phase_writes_the_solution_it_marched(self, tmp_path, monkeypatch):
+        # implicit anchors mid-interval: the CSV is the solution the decay
+        # report was computed on, and the recipe marches nothing of its own
+        from epcag import reduction
+        results, marches = [], {"harness": 0, "reduction": 0}
+        for mod in (harness, reduction):
+            def counted(*args, _f=mod.solve_forward, _m=mod, **kwargs):
+                marches[_m.__name__.split(".")[-1]] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(mod, "solve_forward", counted)
+
+        def phase(*args, _f=harness.asymptotic_phase, **kwargs):
+            results.append(_f(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(harness, "asymptotic_phase", phase)
+        cfg = ExperimentConfig.from_dict(simulate_config(
+            recipe="phase",
+            schedule={"kind": "alternating", "window": [-30, 40]},
+            manifold={"tol": 1e-7, "quad_step": 0.1},
+            run={"anchor_index": 0, "z0": [0.5, 0.8]}))
+        assert run(cfg, tmp_path) == 0
+        rep = json.loads((tmp_path / "report.json").read_text())
+        # one companion march per iteration, the companion and the solution
+        assert marches == {"harness": 0, "reduction": rep["iterations"] + 2}
+        sol = results[0].solution
+        lines = (tmp_path / "trajectory_solution.csv").read_text().splitlines()
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        lo, hi = sol.t_span
+        want = np.concatenate([
+            np.column_stack([seg.ts, seg.zs, np.full(len(seg.ts), seg.index)])
+            for seg in sol.segments])
+        want = want[(want[:, 0] >= lo - 1e-12) & (want[:, 0] <= hi + 1e-12)]
+        assert rows.tobytes() == want.tobytes()
+        assert any(len(res.deltas) > 1 for res in sol.diagnostics)
+
 
 class TestConfigFailuresLeaveRecord:
     """Invalid configs exit with status 2 and an error record, not a
@@ -628,6 +651,16 @@ _BAD_INPUTS = [pytest.param(recipe, path, value, flags,
     # sizes: rejected before the window's arrays or a cache table exist
     ("simulate", "schedule.window", [0, 1e12]),
     ("reduce", "manifold.cache_resolution", 10**7),
+    # run values of the manifold and phase recipes, read strictly
+    ("manifold-F", "run.anchor_index", 2.7),
+    ("manifold-G", "run.anchor_index", 2.7),
+    ("phase", "run.anchor_index", 2.7),
+    ("manifold-F", "run.grid", {"count": 3.9}),
+    ("manifold-F", "run.grid", {"lo": -math.inf}),
+    ("manifold-G", "run.grid", {"hi": math.inf}),
+    ("manifold-F", "run.grid", {"lo": math.nan}),
+    # rejected before the grid is laid, so it is not run any other way
+    ("manifold-F", "run.grid", {"count": 10**9}),
 ]]
 
 

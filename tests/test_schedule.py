@@ -3,46 +3,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epcag import beta, interval_index, make_schedule
+from epcag import make_schedule
 from epcag.errors import ScheduleValidationError, ScheduleWindowError
 
 
 class TestBeta:
     def test_epca_floor(self):
         sched = make_schedule("epca", window=(-3, 3))
-        assert beta(2.7, sched) == 2.0
+        assert sched.beta(2.7) == 2.0
 
     def test_left_closed_at_breakpoint(self):
         sched = make_schedule("epca", window=(-3, 3))
-        assert beta(2.0, sched) == 2.0
+        assert sched.beta(2.0) == 2.0
 
     def test_alternating(self):
         sched = make_schedule("alternating", window=(0, 2))
-        assert beta(0.5, sched) == 0.0
+        assert sched.beta(0.5) == 0.0
 
     def test_window_exceeded(self):
         sched = make_schedule("epca", window=(0, 3))
         with pytest.raises(ScheduleWindowError) as ei:
-            beta(3.5, sched)
+            sched.beta(3.5)
         assert "0.0" in str(ei.value) and "3.0" in str(ei.value)
 
 
 class TestIntervalIndex:
     def test_epca(self):
         sched = make_schedule("epca", window=(-3, 3))
-        assert interval_index(2.7, sched) == 2
+        assert sched.interval_index(2.7) == 2
 
     def test_alternating_left_endpoint(self):
         sched = make_schedule("alternating", window=(-2, 2))
-        assert interval_index(-1.0, sched) == 0
+        assert sched.interval_index(-1.0) == 0
 
     def test_just_below_breakpoint(self):
         sched = make_schedule("epca", window=(-3, 3))
-        assert interval_index(2.0 - 1e-12, sched) == 1
+        assert sched.interval_index(2.0 - 1e-12) == 1
 
     def test_last_endpoint_convention(self):
         sched = make_schedule("epca", window=(0, 3))
-        assert interval_index(3.0, sched) == 2
+        assert sched.interval_index(3.0) == 2
 
 
 class TestMakeSchedule:

@@ -567,6 +567,42 @@ class TestExplicitAnchor:
             assert not new.live.any() and new.segment is old.segment is None
 
 
+class TestZeroFirstDelta:
+    """An implicit anchor whose first delta is exactly 0.0 (f = 0, so the w
+    the sweeps use never changes the path) settles after one loop sweep on
+    its own leg: it is not taken for an explicit anchor."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_settles_on_its_sweep_leg_as_the_parent(self, stacked,
+                                                    monkeypatch):
+        from epcag.harness import build_system
+        sys = build_system({"matrix": [[-1.0, 0.3], [0.0, -0.5]],
+                            "nonlinearity": {"name": "zero", "params": {}}})
+        sched = make_schedule("alternating", window=(0, 3))  # [1, 3], zeta 2
+        z = np.array([[0.9, -0.6], [0.2, 0.4], [-0.5, 0.1]])
+        z = z if stacked else z[0]
+        calls = []
+        rhs = HybridSystem.rhs
+
+        def counted(self, t, z, w):
+            calls.append(t)
+            return rhs(self, t, z, w)
+
+        monkeypatch.setattr(HybridSystem, "rhs", counted)
+        counts, results = [], []
+        for solve in (solve_anchor, parent_solve_anchor):
+            calls.clear()
+            results.append(solve(sys, sched, 1, 1.0, z, 0.1, 1e-12))
+            counts.append(len(calls))
+        new, old = results
+        same_anchor_result(new, old)
+        # the seeding sweep and one loop sweep walk [1, 2] (ten RK4 steps
+        # and the first node's derivative each); then only [2, 3] is
+        # integrated, from the settling sweep's last node and derivative
+        assert counts == [2 * (4 * 10 + 1) + 4 * 10] * 2
+        assert new.deltas == ([[0.0]] * len(z) if stacked else [0.0])
+
+
 def star_points(radii, n_random=2, seed=3):
     rng = np.random.default_rng(seed)
     dirs = [np.array(d, dtype=float) for d in ([1, 0], [-1, 0], [0, 1], [0, -1])]
