@@ -107,9 +107,6 @@ class ConstantsBundle:
     c10_pass: bool
     l: float
     theta: float
-    sigma: float
-    K_const: float
-    m_pow: int
     c5_values: tuple = ()
 
     @property
@@ -278,7 +275,6 @@ def compute_constants(A: np.ndarray, split: SpectralSplit,
     return ConstantsBundle(
         Omega=Omega, M_up=M, m_low=m_low, alpha=float(alpha), gamma=gamma,
         p_const=p, c5_pass=c5, c10_pass=bool(c10), l=float(l), theta=theta,
-        sigma=sigma, K_const=K, m_pow=m_pow,
         c5_values=(v1, v2, v3),
     )
 
@@ -374,19 +370,21 @@ def check_conditions(sys: HybridSystem, sched: ArgumentSchedule,
          "note": f"2pl = {2 * bundle.p_const * bundle.l:.3g}"},
     ))
 
-    # Vanishing Jacobian of f at the origin, by central differences.
+    # Vanishing Jacobian of f at the origin, by central differences; f
+    # reads each anchor value through the system's anchor_argument.
     h = 1e-5
     thresh = 10.0 * sys.lipschitz_l * h
     worst = 0.0
     t_samples = np.linspace(t_lo, t_hi, 5)
+    zero, lift = np.zeros(n), sys.anchor_argument
     for t in t_samples:
         for j in range(n):
             e = np.zeros(n)
             e[j] = h
-            dz = (np.asarray(sys.f(t, e, np.zeros(n)))
-                  - np.asarray(sys.f(t, -e, np.zeros(n)))) / (2 * h)
-            dw = (np.asarray(sys.f(t, np.zeros(n), e))
-                  - np.asarray(sys.f(t, np.zeros(n), -e))) / (2 * h)
+            dz = (np.asarray(sys.f(t, e, lift(t, zero)))
+                  - np.asarray(sys.f(t, -e, lift(t, zero)))) / (2 * h)
+            dw = (np.asarray(sys.f(t, zero, lift(t, e)))
+                  - np.asarray(sys.f(t, zero, lift(t, -e)))) / (2 * h)
             worst = max(worst, float(np.max(np.abs(dz))), float(np.max(np.abs(dw))))
     c6_ok = worst <= thresh
     entries.append(ConditionEntry(

@@ -6,11 +6,12 @@ class EpcagError(Exception):
 
 
 class ScheduleWindowError(EpcagError):
-    """A time fell outside the finite index window of a schedule."""
+    """A time, or an interval index (``what`` names which), fell outside the
+    finite window of a schedule."""
 
-    def __init__(self, t, lo, hi):
+    def __init__(self, t, lo, hi, what="time t"):
         super().__init__(
-            f"time t={t!r} is outside the schedule window [{lo!r}, {hi!r}]"
+            f"{what}={t!r} is outside the schedule window [{lo!r}, {hi!r}]"
         )
         self.t = t
         self.lo = lo

@@ -24,6 +24,7 @@ from .errors import (
     EpcagError,
     NonContractionError,
     ScheduleValidationError,
+    ScheduleWindowError,
 )
 from .manifolds import CenterEvaluator, eval_F, eval_G
 from .reduction import asymptotic_phase, classify_stability, reduction_check
@@ -496,8 +497,8 @@ def _recipe_conditions(cfg, sys, sched) -> dict:
     out = report.as_dict()
     out["constants"] = {
         "Omega": bundle.Omega, "M": bundle.M_up, "m": bundle.m_low,
-        "sigma": bundle.sigma, "alpha": bundle.alpha, "gamma": bundle.gamma,
-        "K": bundle.K_const, "m_pow": bundle.m_pow, "p": bundle.p_const,
+        "sigma": split.sigma, "alpha": bundle.alpha, "gamma": bundle.gamma,
+        "K": split.K_const, "m_pow": split.m_pow, "p": bundle.p_const,
         "two_p_l": 2 * bundle.p_const * bundle.l,
     }
     return out
@@ -517,15 +518,16 @@ def _grid_1d(grid_cfg: dict) -> np.ndarray:
 
 
 def _recipe_manifold(cfg, sys, sched, out_dir, kind: str) -> dict:
-    split, bundle = _analysis_stack(sys, sched)
     mf = cfg.manifold
     rp = cfg.run_params
     try:
         i = _integer(rp.get("anchor_index", sched.i_min))
+        zeta = sched.zeta(i)
         grid = _grid_1d(rp.get("grid", {}))
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError,
+            ScheduleWindowError) as exc:
         raise ConfigError(f"run.anchor_index / run.grid invalid: {exc}") from exc
-    zeta = sched.zeta(i)
+    split, bundle = _analysis_stack(sys, sched)
     coord_dim = split.k if kind == "F" else sys.dim - split.k
     if coord_dim != 1:
         raise ConfigError(
@@ -555,12 +557,12 @@ def _recipe_phase(cfg, sys, sched, out_dir) -> dict:
     rp = cfg.run_params
     try:
         z0 = np.asarray(rp["z0"], dtype=float)
-        i = _integer(rp.get("anchor_index", sched.i_min))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        zeta = sched.zeta(_integer(rp.get("anchor_index", sched.i_min)))
+    except (KeyError, TypeError, ValueError, OverflowError,
+            ScheduleWindowError) as exc:
         raise ConfigError(f"run.z0 / run.anchor_index invalid: {exc}") from exc
     _check_z0(z0, sys.dim)
     split, bundle = _analysis_stack(sys, sched)
-    zeta = sched.zeta(i)
     res = asymptotic_phase(sys, sched, split, bundle, zeta, z0,
                            tol=cfg.manifold["tol"], step=cfg.solver["step"],
                            quad_step=cfg.manifold["quad_step"])

@@ -64,9 +64,6 @@ class ManifoldApprox:
     vector's deltas.
     """
 
-    kind: str
-    anchor_time: float
-    horizon: float
     iterates: int | list
     lipschitz_bound: float
     last_delta: float | list
@@ -444,8 +441,6 @@ def _graph_map(stable: bool, sys: HybridSystem, sched: ArgumentSchedule,
     one = (lambda a: a[0]) if lone else (lambda a: a)
     zs = split.from_block(Z.reshape(-1, k + nm)).reshape(Z.shape)
     return ManifoldApprox(
-        kind="stable" if stable else "center", anchor_time=float(zeta),
-        horizon=float(grid.ts[-1] - grid.ts[0]),
         iterates=one([len(seq) - 1 for seq in deltas]),
         lipschitz_bound=lipschitz, last_delta=one([seq[-1] for seq in deltas]),
         value=one((Z[0, :, k:] if stable else Z[-1, :, :k]).copy()),
@@ -503,13 +498,8 @@ def eval_G(sys: HybridSystem, sched: ArgumentSchedule, split: SpectralSplit,
 
 @dataclass
 class InvarianceReport:
-    anchor_index: int
-    anchor_time: float
     defects: list                  # (interval j, zeta_j, |v - F(zeta_j, u)|)
     off_surface_min_v: float
-    off_surface_delta: float
-    on_surface_max_v: float
-    window: tuple
 
     @property
     def max_defect(self) -> float:
@@ -555,13 +545,8 @@ def verify_surface_invariance(sys: HybridSystem, sched: ArgumentSchedule,
                              t_off_end, step, tol)
     ts = np.linspace(zeta_i, t_off_end, 101)
     v_off = [np.linalg.norm(split.to_block(traj_off.eval(t))[k:]) for t in ts]
-    t_on_end = min(zeta_i + off_window, t_end)
-    v_on = [np.linalg.norm(split.to_block(traj.eval(t))[k:])
-            for t in np.linspace(zeta_i, t_on_end, 101)]
-    return InvarianceReport(
-        anchor_index=i, anchor_time=zeta_i, defects=defects,
-        off_surface_min_v=float(min(v_off)), off_surface_delta=delta_off,
-        on_surface_max_v=float(max(v_on)), window=(zeta_i, t_off_end))
+    return InvarianceReport(defects=defects,
+                            off_surface_min_v=float(min(v_off)))
 
 
 def _sampled_P(graph, draws, l: float, min_gap: float, lead=()):
@@ -763,14 +748,15 @@ class CenterEvaluator:
             vals[~use] = 0.0
         return vals
 
-    def empirical_P(self, pairs: int = 20, seed: int = 0) -> float:
+    def empirical_P(self) -> float:
         """Sampled Lipschitz constant of the graph map divided by l, at the
-        first time node."""
+        first time node, over 20 pairs of points drawn from the box with
+        seed 0; worked out once per evaluator."""
         if self._P is not None:
             return self._P
         anchor = float(self.time_nodes[0])
-        draws = np.random.default_rng(seed).uniform(
-            self.lo, self.hi, size=(pairs, 2, len(self.lo)))
+        draws = np.random.default_rng(0).uniform(
+            self.lo, self.hi, size=(20, 2, len(self.lo)))
         self._P, _ = _sampled_P(lambda D: self.point(anchor, D), draws,
                                 self.bundle.l, min_gap=1e-9)
         return self._P

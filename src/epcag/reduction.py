@@ -83,17 +83,31 @@ class StabilityVerdict:
         }
 
 
+@dataclass(frozen=True)
+class _ReducedSystem(HybridSystem):
+    """A reduced system, whose f reads the anchor's point on the center
+    surface: :meth:`anchor_argument` lifts w to (G(zeta, w), w)."""
+
+    g_eval: CenterEvaluator = None
+
+    def anchor_argument(self, zeta, w):
+        return np.concatenate([self.g_eval.at(zeta, w), w], axis=-1)
+
+
 def build_reduced(sys: HybridSystem, sched: ArgumentSchedule,
                   split: SpectralSplit, g_eval: CenterEvaluator) -> HybridSystem:
     """The lower-dimensional system governing the neutral coordinates on the
     center surface: state v, linear part B_minus, nonlinearity
 
-        (t, v, vbar) -> f_minus(t, (G(t, v), v), (G(beta(t), vbar), vbar))
+        (t, v, wb) -> f_minus(t, (G(t, v), v), wb)
 
-    with G read through the memoized evaluator.  It takes stacked rows as
-    well as one point, with one lookup per argument for all rows.  The
-    declared Lipschitz constant l (1 + P l) uses the sampled P inflated by
-    the margin 1.25 so it stays an upper bound under sampling error.
+    with G read through the memoized evaluator.  On interval i the solver
+    hands it wb = (G(zeta_i, vbar), vbar), the anchor's point on the center
+    surface, lifted once per interval by the system's ``anchor_argument``.
+    It takes stacked rows as well as one point, with one lookup for all
+    rows.  The declared Lipschitz constant l (1 + P l) uses the sampled P
+    inflated by the margin 1.25 so it stays an upper bound under sampling
+    error.
     """
     k = split.k
     nm = sys.dim - k
@@ -101,31 +115,12 @@ def build_reduced(sys: HybridSystem, sched: ArgumentSchedule,
         raise DegenerateDimensionError(
             "every direction decays (k = n); there is nothing to reduce")
     fblock = _block_f(sys.f_stacked, split)
-    # the latest anchor lookup, which repeats while w is frozen: beta's
-    # interval [lo, hi), beta there, the bytes of vbar and G(beta, vbar)
-    memo = [np.inf, -np.inf, None, None, None]
 
-    def f_red(t, v, vbar):
+    def f_red(t, v, wb):
         if np.ndim(v) < 2:  # one point is a stack of one row
             return f_red(np.reshape(t, 1), np.reshape(v, (1, nm)),
-                         np.reshape(vbar, (1, nm)))[0]
-        t, vbar = np.asarray(t, dtype=float), np.asarray(vbar, dtype=float)
-        if (t == t[0]).all():  # one time cell and one anchor for every row
-            tc, key = t[0], vbar.tobytes()
-            lo, hi, tb, kb, ub = memo
-            if not lo <= tc < hi:
-                i = sched.interval_index(tc)
-                lo, hi, tb = sched.theta(i), sched.theta(i + 1), sched.zeta(i)
-                # t_max belongs to the last interval
-                hi = hi if i + 1 < sched.i_max else np.nextafter(hi, np.inf)
-            if tb != memo[2] or key != kb:
-                ub = g_eval.at(tb, vbar)
-            memo[:] = lo, hi, tb, key, ub
-        else:
-            tc = t
-            ub = g_eval.at(np.array([sched.beta(s) for s in t]), vbar)
-        zb = np.concatenate([g_eval.at(tc, v), v], axis=1)
-        wb = np.concatenate([ub, vbar], axis=1)
+                         np.reshape(wb, (1, sys.dim)))[0]
+        zb = np.concatenate([g_eval.at(t, v), v], axis=1)
         return fblock(t, zb, wb)[:, k:]
 
     P = g_eval.empirical_P()
@@ -135,8 +130,8 @@ def build_reduced(sys: HybridSystem, sched: ArgumentSchedule,
     pr = min(1.0, 0.5 * pr) if pr > 0 else 0.1
     mids = np.linspace(0, len(sched.zetas) - 1, 3).astype(int)
     times = tuple(float(sched.zetas[m]) for m in mids)
-    return HybridSystem(split.B_minus, f_red, l_red, nm,
-                        probe_radius=pr, probe_times=times)
+    return _ReducedSystem(split.B_minus, f_red, l_red, nm, probe_radius=pr,
+                          probe_times=times, g_eval=g_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +140,8 @@ def build_reduced(sys: HybridSystem, sched: ArgumentSchedule,
 
 @dataclass
 class DecayReport:
-    ts: np.ndarray
-    weighted_distance: np.ndarray   # |z - companion| e^{alpha (t - zeta)}
     bound: float
-    max_weighted: float
+    max_weighted: float     # largest |z - companion| e^{alpha (t - zeta)}
     bounded: bool
 
 
@@ -248,8 +241,7 @@ def asymptotic_phase(sys: HybridSystem, sched: ArgumentSchedule,
     X0 = u0 - G_d
     bound = K * (1.0 + 2.0 * p * l) * float(np.linalg.norm(X0))
     max_w = float(np.max(w))
-    report = DecayReport(ts=ts, weighted_distance=w, bound=bound,
-                         max_weighted=max_w,
+    report = DecayReport(bound=bound, max_weighted=max_w,
                          bounded=bool(max_w <= 1.1 * bound + 1e-12))
     return PhaseResult(companion=companion, solution=ztraj, d_star=d,
                        report=report, iterations=max(iterations, 1),

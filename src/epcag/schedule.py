@@ -93,14 +93,14 @@ class ArgumentSchedule:
         """Endpoint theta_i for i in [i_min, i_max]."""
         p = i - self.i_min
         if not 0 <= p < len(self.thetas):
-            raise ScheduleWindowError(i, self.i_min, self.i_max)
+            raise ScheduleWindowError(i, self.i_min, self.i_max, "index i")
         return float(self.thetas[p])
 
     def zeta(self, i: int) -> float:
         """Anchor zeta_i for i in [i_min, i_max - 1]."""
         p = i - self.i_min
         if not 0 <= p < len(self.zetas):
-            raise ScheduleWindowError(i, self.i_min, self.i_max - 1)
+            raise ScheduleWindowError(i, self.i_min, self.i_max - 1, "index i")
         return float(self.zetas[p])
 
     def interval_index(self, t: float) -> int:

@@ -27,7 +27,10 @@ stacked states (``t`` of shape ``(m,)``, ``z`` and ``w`` of shape ``(m, n)``,
 one row per point, returning ``(m, n)``) by stacked marches and the graph
 maps.  A callable that only takes one state at a time is detected when the
 system is built and wrapped once into a loop over rows
-(``HybridSystem.f_stacked``).
+(``HybridSystem.f_stacked``).  The ``w`` that f receives on interval i is
+``HybridSystem.anchor_argument(zeta_i, w)`` of the anchor state w, worked
+out once per sweep and once per interval integration, never per stage; it
+is w itself unless a system says otherwise.
 
 A run is single threaded and owns its trajectory; distinct runs over shared
 (immutable) systems and schedules may proceed concurrently as long as the
@@ -75,10 +78,10 @@ class HybridSystem:
     """Linear part, nonlinearity and its declared Lipschitz constant.
 
     ``f(t, z, w)`` must be pure; ``w`` plays the role of the state at the
-    interval's anchor time.  Construction spot-checks that f vanishes at the
-    origin and that sampled difference quotients stay below ``lipschitz_l``
-    on probes of radius ``probe_radius`` (the declared constant may be local
-    to that ball).
+    interval's anchor time, passed through :meth:`anchor_argument`.
+    Construction spot-checks that f vanishes at the origin and that sampled
+    difference quotients stay below ``lipschitz_l`` on probes of radius
+    ``probe_radius`` (the declared constant may be local to that ball).
 
     ``f_stacked`` is f on stacked states, one row per point: f itself when a
     stacked call on the probe samples returns exactly the per-row values,
@@ -132,12 +135,20 @@ class HybridSystem:
                 f"constant {self.lipschitz_l}")
         return samples
 
+    def anchor_argument(self, zeta, w):
+        """The argument f receives on an interval whose anchor ``zeta`` holds
+        the state ``w`` (one state or stacked rows, one row each): ``w``
+        itself.  A system whose f reads the anchor state through a fixed map
+        overrides this, so the map is applied once per interval and not at
+        every stage."""
+        return w
+
     def _takes_stacked(self, samples) -> bool:
         """Whether f, called once on the stacked ``(t, z1, w1)`` of the probe
         samples, returns exactly its per-row values."""
         t = np.array([s[0] for s in samples])
         z = np.array([s[1] for s in samples])
-        w = np.array([s[3] for s in samples])
+        w = self.anchor_argument(t, np.array([s[3] for s in samples]))
         try:
             with np.errstate(all="ignore"):
                 out = np.asarray(self.f(t, z, w), dtype=float)
@@ -153,21 +164,23 @@ class HybridSystem:
         difference quotient |f(t,z1,w1) - f(t,z2,w2)| / (|z1-z2| + |w1-w2|)
         over the ``(t, z1, z2, w1, w2)`` samples, the largest |f(t,0,0)|
         over ``origin_times``, and whether the quotient stays below
-        ``lipschitz_l`` and the residual at zero, up to rounding slack.
+        ``lipschitz_l`` and the residual at zero, up to rounding slack.  f
+        reads each w through :meth:`anchor_argument` at the sample's time.
         """
         n = self.dim
         zero = np.zeros(n)
+        lift = self.anchor_argument
         origin = 0.0
         for t in origin_times:
-            val = np.asarray(self.f(t, zero, zero), dtype=float)
+            val = np.asarray(self.f(t, zero, lift(t, zero)), dtype=float)
             if val.shape != (n,):
                 raise SystemValidationError(
                     f"f must return vectors of length {n}")
             origin = max(origin, float(np.linalg.norm(val)))
         ratio = 0.0
         for t, z1, z2, w1, w2 in samples:
-            num = np.linalg.norm(
-                np.asarray(self.f(t, z1, w1)) - np.asarray(self.f(t, z2, w2)))
+            num = np.linalg.norm(np.asarray(self.f(t, z1, lift(t, w1)))
+                                 - np.asarray(self.f(t, z2, lift(t, w2))))
             den = np.linalg.norm(z1 - z2) + np.linalg.norm(w1 - w2)
             if den > 0:
                 ratio = max(ratio, float(num / den))
@@ -244,7 +257,6 @@ class Trajectory:
     ``diagnostics`` holds each segment's :class:`AnchorResult`."""
 
     segments: list
-    anchors: dict
     direction: str
     t_span: tuple
     diagnostics: list
@@ -304,11 +316,12 @@ def _rk4_path(sys: HybridSystem, ts: np.ndarray, z0: np.ndarray, w: np.ndarray,
               interval: int, dz0=None):
     """Classical fourth-order steps along the (possibly descending) node list.
 
-    ``z0`` and ``w`` are one state or stacked rows (one w per row); ``dz0``,
-    the derivative at the first node when the caller has it, spares that
-    node's rhs.  A lone state that turns non-finite raises
-    :class:`BlowUpError`; a stacked row that does is nan from that node on,
-    and the other rows go on from their own finite values.
+    ``z0`` and ``w``, the argument f receives, are one state or stacked
+    rows (one w per row); ``dz0``, the derivative at the first node when
+    the caller has it, spares that node's rhs.  A lone state that turns
+    non-finite raises :class:`BlowUpError`; a stacked row that does is nan
+    from that node on, and the other rows go on from their own finite
+    values.
     """
     n = len(ts)
     zs = np.empty((n,) + z0.shape)
@@ -401,21 +414,24 @@ def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
                        step: float, leg=None) -> Segment:
     """Integrate z' = A z + f(t, z, w) with w frozen over all of interval i.
 
-    Runs from the data point (t_anchor, z_anchor) towards both interval
-    endpoints; nodes land exactly on theta_i, theta_{i+1} and zeta_i.  The
-    step is clamped to a quarter of the interval length.  ``leg``, when
-    given, is the anchor leg ``(zs, dzs)`` from the data point to zeta_i,
-    already integrated with this w (by :func:`solve_anchor`'s settling
-    sweep): it is taken as it is, and the side that holds zeta_i goes on
-    from its last node and derivative.  Stacked rows (``z_anchor`` and
-    ``w`` of shape ``(m, n)``) share the nodes; a row that blows up on the
-    right is not taken left, where a lone state would have raised already.
+    f receives ``sys.anchor_argument(zeta_i, w)``, worked out once here; the
+    segment keeps w itself.  Runs from the data point (t_anchor, z_anchor)
+    towards both interval endpoints; nodes land exactly on theta_i,
+    theta_{i+1} and zeta_i.  The step is clamped to a quarter of the
+    interval length.  ``leg``, when given, is the anchor leg ``(zs, dzs)``
+    from the data point to zeta_i, already integrated with this w (by
+    :func:`solve_anchor`'s settling sweep): it is taken as it is, and the
+    side that holds zeta_i goes on from its last node and derivative.
+    Stacked rows (``z_anchor`` and ``w`` of shape ``(m, n)``) share the
+    nodes; a row that blows up on the right is not taken left, where a lone
+    state would have raised already.
     """
     h = _interval_step(sched, i, t_anchor, step)
     th_lo, th_hi = sched.theta(i), sched.theta(i + 1)
     zeta = sched.zeta(i)
     z_anchor = np.asarray(z_anchor, dtype=float)
     w = np.asarray(w, dtype=float)
+    wa = sys.anchor_argument(zeta, w)
 
     right_ts = _node_grid(t_anchor, th_hi, zeta, h)
     left_ts = _node_grid(th_lo, t_anchor, zeta, h)[::-1]  # descending from anchor
@@ -425,16 +441,16 @@ def integrate_interval(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     # a one-node side is the other side's first entry: the same data point
     # and rhs(t_anchor, z_anchor, w), so it takes no rhs of its own
     if len(right_ts) == 1:  # the data point is the right end
-        zs_l, dzs_l = _two_legs(sys, left_ts, z_anchor, w, i, left_leg)
+        zs_l, dzs_l = _two_legs(sys, left_ts, z_anchor, wa, i, left_leg)
         zs_r, dzs_r = zs_l[:1], dzs_l[:1]
     else:
-        zs_r, dzs_r = _two_legs(sys, right_ts, z_anchor, w, i, right_leg)
+        zs_r, dzs_r = _two_legs(sys, right_ts, z_anchor, wa, i, right_leg)
         if len(left_ts) == 1:  # the data point is the left end
             zs_l, dzs_l = zs_r[:1], dzs_r[:1]
         elif z_anchor.ndim == 1:
-            zs_l, dzs_l = _two_legs(sys, left_ts, z_anchor, w, i, left_leg)
+            zs_l, dzs_l = _two_legs(sys, left_ts, z_anchor, wa, i, left_leg)
         else:
-            zs_l, dzs_l = _rows_path(sys, left_ts, z_anchor, w, i,
+            zs_l, dzs_l = _rows_path(sys, left_ts, z_anchor, wa, i,
                                      np.isfinite(zs_r[-1]).all(axis=1),
                                      left_leg)
 
@@ -475,7 +491,8 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
     The unknown is the single vector w, and only the stretch from t_anchor
     to zeta_i bears on it.  Each sweep integrates that stretch alone, on the
     nodes :func:`integrate_interval` lays there (so values agree bit for
-    bit): first with the w-slot frozen at z_anchor, then with the current w.
+    bit): first with the w-slot frozen at z_anchor, then with the current w,
+    each sweep passing ``sys.anchor_argument(zeta_i, w)`` to f.
     Once consecutive values differ by less than tol, the settling sweep's
     path is kept as the segment's anchor leg, and :func:`integrate_interval`
     with that sweep's input w integrates the rest of the interval once;
@@ -513,10 +530,11 @@ def solve_anchor(sys: HybridSystem, sched: ArgumentSchedule, i: int,
 
     def sweep(rows):  # values at zeta_i of ``rows``, w-slots frozen at W
         nonlocal path
+        wa = sys.anchor_argument(zeta, W[0] if one else W[rows])
         if one:  # a lone state raises its own BlowUpError
-            path = _rk4_path(sys, span, z_anchor, W[0], i)
+            path = _rk4_path(sys, span, z_anchor, wa, i)
             return path[0][-1:]
-        path = _rk4_path(sys, span, Z[rows], W[rows], i)
+        path = _rk4_path(sys, span, Z[rows], wa, i)
         for r, t in _blow_ups(span, path[0]):
             errors[rows[r]] = BlowUpError(t, interval=i)
         return path[0][-1]
@@ -653,11 +671,10 @@ def _march(sys, sched, t_a, z_a, intervals, step, tol, max_iter):
 
 def _trajectory(results, direction, t_span) -> Trajectory:
     results = list(results)
-    anchors = {res.segment.index: res.w for res in results}
     if direction == "backward":
         results.reverse()
     return Trajectory(
-        segments=[res.segment for res in results], anchors=anchors,
+        segments=[res.segment for res in results],
         direction=direction, t_span=t_span, diagnostics=results,
         nonuniqueness_warning=any(r > 1.0 for res in results
                                   for r in res.ratios),

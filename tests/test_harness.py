@@ -655,6 +655,9 @@ _BAD_INPUTS = [pytest.param(recipe, path, value, flags,
     ("manifold-F", "run.anchor_index", 2.7),
     ("manifold-G", "run.anchor_index", 2.7),
     ("phase", "run.anchor_index", 2.7),
+    ("manifold-F", "run.anchor_index", 500),
+    ("manifold-G", "run.anchor_index", 500),
+    ("phase", "run.anchor_index", 500),
     ("manifold-F", "run.grid", {"count": 3.9}),
     ("manifold-F", "run.grid", {"lo": -math.inf}),
     ("manifold-G", "run.grid", {"hi": math.inf}),
@@ -685,6 +688,22 @@ def test_invalid_input_exits_2_without_traceback(recipe, path, value, flags,
     if report.exists():
         err = json.loads(report.read_text())["error"]
         assert issubclass(getattr(errors, err["type"]), ConfigError)
+
+
+@pytest.mark.parametrize("recipe", ["manifold-F", "manifold-G", "phase"])
+def test_out_of_window_anchor_index_is_named(recipe, tmp_path):
+    cfg = _with(simulate_config(schedule={"kind": "epca", "window": [-60, 80]},
+                                run={"z0": [1.0, 0.5], **_MANIFOLD_RUN}),
+                "run.anchor_index", 80)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([recipe, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = json.loads((tmp_path / "out" / "report.json").read_text())["error"]
+    assert err["type"] == "ConfigError"
+    assert "run.anchor_index" in err["message"]
+    assert "index i=80 is outside the schedule window [-60, 79]" in \
+        err["message"]
 
 
 @pytest.mark.parametrize("path", [

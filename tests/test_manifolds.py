@@ -367,7 +367,7 @@ class TestCenterEvaluator:
 
     def test_empirical_P_in_range(self, geval):
         ev, amp = geval
-        P = ev.empirical_P(pairs=10, seed=4)
+        P = ev.empirical_P()
         # oracle: G = amp tanh(d), so the true ratio sup is amp sup|tanh'|
         # over sampled pairs, divided by l = amp: at most 1
         assert 0.05 <= P <= 1.0
@@ -419,7 +419,7 @@ class TestCenterEvaluatorAperiodic:
         ev = CenterEvaluator(sys, sched, diag_split, b, box=2.0, resolution=5,
                              tol=1e-6, quad_step=0.2, time_period=None)
         assert ev.time_nodes[0] - ev.horizon >= sched.t_min
-        assert 0.05 <= ev.empirical_P(pairs=3) <= 1.0
+        assert 0.05 <= ev.empirical_P() <= 1.0
 
 
 def _one_dim_evaluator(period):

@@ -16,8 +16,7 @@ from epcag import (
 from epcag import reduction
 from epcag.harness import build_system
 from epcag.errors import (BlowUpError, DegenerateDimensionError,
-                          NonContractionError, ParameterError,
-                          ScheduleWindowError)
+                          NonContractionError, ParameterError)
 from epcag.manifolds import _block_f
 from epcag.solver import _march
 
@@ -58,7 +57,8 @@ class TestBuildReduced:
         assert red.dim == 1
         np.testing.assert_allclose(red.A, split.B_minus)
         for v in (0.5, -1.0):
-            assert abs(red.f(0.3, np.array([v]), np.array([v]))[0]) < 1e-10
+            wb = red.anchor_argument(0.3, np.array([v]))
+            assert abs(red.f(0.3, np.array([v]), wb)[0]) < 1e-10
 
     def test_degenerate_when_everything_decays(self):
         sys = HybridSystem(np.diag([-1.0, -2.0]), lambda t, z, w: np.zeros(2),
@@ -78,7 +78,8 @@ class TestBuildReduced:
         red = build_reduced(sys, sched, split, g_eval)
         a = 0.012
         for v in (0.5, -0.8, 1.5):
-            got = red.f(0.0, np.array([v]), np.array([v]))[0]
+            wb = red.anchor_argument(0.0, np.array([v]))
+            got = red.f(0.0, np.array([v]), wb)[0]
             want = -a * v**3 / (1 + v**2)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -103,129 +104,138 @@ class TestBuildReduced:
                                  time_period=1.0, time_subdiv=2)
         red = build_reduced(sys, sched, split, g_eval)
         for v in (0.5, -0.8, 1.2):
-            got = red.f(0.0, np.array([v]), np.array([v]))[0]
+            wb = red.anchor_argument(0.0, np.array([v]))
+            got = red.f(0.0, np.array([v]), wb)[0]
             bare = -a * v**3 / (1 + v**2)
             assert abs(got - bare) <= 30.0 * a**2
         assert red.lipschitz_l > sys.lipschitz_l
 
-    def test_non_identity_split_keeps_the_stacked_call(self):
-        # the block transform maps each row with its own product, so a
-        # stacked f_red call is bitwise its per-row calls
-        sys = build_system({"matrix": [[-1.0, 0.0], [0.3, 0.0]],
+    @staticmethod
+    def reduced_cubic(matrix):
+        """The reduced system of the damped center-cubic family on ``matrix``
+        over reduce-damped's epca window and periodic cache."""
+        sys = build_system({"matrix": matrix,
                             "nonlinearity": {"name": "center-cubic",
                                              "params": {"a": 0.012}}})
         sched = make_schedule("epca", window=(-60, 80))
         split = spectral_split(sys.A)
-        assert not split.is_identity_transform
         bundle = compute_constants(sys.A, split, sched, sys.lipschitz_l,
                                    alpha=0.25)
         g_eval = CenterEvaluator(sys, sched, split, bundle, box=2.0,
                                  resolution=5, tol=1e-6, quad_step=0.1,
                                  time_period=1.0, time_subdiv=1)
-        red = build_reduced(sys, sched, split, g_eval)
+        return split, build_reduced(sys, sched, split, g_eval)
+
+    def test_identity_split_keeps_the_stacked_call(self):
+        # reduce-damped's split: a fall back to the per-row loop would slow
+        # every stacked stage and show in no output
+        split, red = self.reduced_cubic([[-1.0, 0.0], [0.0, 0.0]])
+        assert split.is_identity_transform
+        assert red.f_stacked is red.f
+
+    def test_non_identity_split_keeps_the_stacked_call(self):
+        # the block transform maps each row with its own product, so a
+        # stacked f_red call is bitwise its per-row calls
+        split, red = self.reduced_cubic([[-1.0, 0.0], [0.3, 0.0]])
+        assert not split.is_identity_transform
         assert red.f_stacked is red.f
 
 
-def parent_f_red(sys, sched, split, g_eval):
-    """The reduced nonlinearity before its anchor memo kept the interval:
-    every call with one time looks up beta(t) in the schedule."""
-    k = split.k
-    nm = sys.dim - k
-    fblock = _block_f(sys.f_stacked, split)
-    anchor = {}
+def anchored_system(a=0.012, eps=0.012, amp=0.005):
+    """The damped center-cubic family with the neutral rate also fed by the
+    anchored decaying component, so f_minus reads the anchor's point on the
+    center surface:
 
-    def f_red(t, v, vbar):
-        if np.ndim(v) < 2:
-            return f_red(np.reshape(t, 1), np.reshape(v, (1, nm)),
-                         np.reshape(vbar, (1, nm)))[0]
-        t, vbar = np.asarray(t, dtype=float), np.asarray(vbar, dtype=float)
-        if np.all(t == t[0]):
-            tc, tb = t[0], sched.beta(t[0])
-            key = (tb, vbar.tobytes())
-            if key not in anchor:
-                anchor.clear()
-                anchor[key] = g_eval.at(tb, vbar)
-            ub = anchor[key]
-        else:
-            tc = t
-            ub = g_eval.at(np.array([sched.beta(s) for s in t]), vbar)
-        zb = np.concatenate([g_eval.at(tc, v), v], axis=1)
-        wb = np.concatenate([ub, vbar], axis=1)
-        return fblock(t, zb, wb)[:, k:]
+        f = (eps w_2^2 / (1 + w_2^2), amp tanh(w_1) - a z_2^3 / (1 + z_2^2))
+    """
 
-    return f_red
+    def f(t, z, w):
+        w1, w2, z2 = w.T[0], w.T[1], z.T[1]
+        return np.array([eps * w2 * w2 / (1 + w2 * w2),
+                         amp * np.tanh(w1) - a * z2**3 / (1 + z2 * z2)]).T
+
+    return HybridSystem(np.diag([-1.0, 0.0]), f,
+                        max(0.6495 * eps + amp, 1.125 * a), 2)
 
 
-class TestReducedRhs:
-    """f_red finds its anchor from the memoized interval instead of the
-    schedule: bitwise the parent's values, with as many graph lookups."""
+@pytest.fixture(scope="module")
+def anchored_stacks():
+    """``(kind, resolution) -> (sys, sched, split, g_eval, reduced)`` for
+    :func:`anchored_system` on an alternating or a randomized schedule,
+    cached without ``time_period``, so G varies from anchor to anchor.
+    Each stack is built on first use."""
+    built = {}
 
-    @staticmethod
-    def stack(kind):
-        sys = build_system({"matrix": [[-1.0, 0.0], [0.0, 0.0]],
-                            "nonlinearity": {"name": "center-cubic",
-                                             "params": {"a": 0.012}}})
-        period = None
-        if kind == "epca":
-            sched, period = make_schedule("epca", window=(-60, 80)), 1.0
-        elif kind == "alternating":
-            sched = make_schedule("alternating", window=(-15, 30))
-        else:
-            sched = make_schedule("randomized", window=(-40, 40),
-                                  theta_bound=1.0, seed=5, t_start=-30.0)
-        split = spectral_split(sys.A)
-        bundle = compute_constants(sys.A, split, sched, sys.lipschitz_l,
-                                   alpha=0.25)
-        g_eval = CenterEvaluator(sys, sched, split, bundle, box=2.0,
-                                 resolution=9, tol=1e-6, quad_step=0.1,
-                                 time_period=period, time_subdiv=2)
-        return sys, sched, split, g_eval
+    def get(kind, resolution):
+        if (kind, resolution) not in built:
+            sys = anchored_system()
+            sched = (make_schedule("alternating", window=(-25, 30))
+                     if kind == "alternating" else
+                     make_schedule("randomized", window=(-60, 40),
+                                   theta_bound=1.0, seed=5, t_start=-45.0))
+            split = spectral_split(sys.A)
+            bundle = compute_constants(sys.A, split, sched, sys.lipschitz_l,
+                                       alpha=0.25)
+            g_eval = CenterEvaluator(sys, sched, split, bundle, box=1.0,
+                                     resolution=resolution, tol=1e-7,
+                                     quad_step=0.2, time_period=None)
+            built[kind, resolution] = (sys, sched, split, g_eval,
+                                       build_reduced(sys, sched, split, g_eval))
+        return built[kind, resolution]
 
-    @staticmethod
-    def calls(sched):
-        """Stage-like calls over two intervals and at t_max: interval ends,
-        mid-interval stage times, vbar repeating and changing, one point and
-        stacked rows, and one stack of mixed times."""
-        rows = np.array([[0.3], [-0.5], [1.1]])
-        i = sched.interval_index(12.0)
-        out = []
-        for j in (i, i + 1):
-            lo, hi = sched.theta(j), sched.theta(j + 1)
-            h = (hi - lo) / 4
-            for vbar in (0.9 * rows, 0.9 * rows, 0.7 * rows[::-1]):
-                for t in (lo, lo + h / 2, lo + h, hi - h / 2, hi):
-                    out.append((np.full(3, t), rows + 0.01 * (t - lo), vbar))
-            out.append((lo + h / 2, rows[0], rows[1]))
-            out.append((np.array([lo, lo + h / 2, hi]), rows, 0.9 * rows))
-        t_max = sched.t_max
-        out += [(np.full(3, t_max), rows, rows), (t_max, rows[2], rows[0]),
-                (np.full(3, t_max - 1e-3), rows, rows)]
-        return out
+    return get
 
-    @pytest.mark.parametrize("kind", ["epca", "alternating", "randomized"])
-    def test_bitwise_the_parent_with_as_many_lookups(self, kind, monkeypatch):
-        sys, sched, split, g_eval = self.stack(kind)
-        new = build_reduced(sys, sched, split, g_eval).f
-        old = parent_f_red(sys, sched, split, g_eval)
-        counts = []
-        at = CenterEvaluator.at
 
-        def counted(self, t, v):
-            counts[-1] += 1
-            return at(self, t, v)
+class TestReducedAnchor:
+    """On interval i the reduced nonlinearity reads the anchor's point on the
+    center surface, (G(zeta_i, vbar), vbar), at every stage, end nodes
+    included."""
 
-        monkeypatch.setattr(CenterEvaluator, "at", counted)
-        results = []
-        for f in (new, old):
-            counts.append(0)
-            results.append([f(*call) for call in self.calls(sched)])
-        assert counts[0] == counts[1]
-        for got, want in zip(*results):
-            assert got.tobytes() == want.tobytes()
-        for f in (new, old):
-            with pytest.raises(ScheduleWindowError):
-                f(np.full(3, sched.t_max + 0.5), np.zeros((3, 1)),
-                  np.zeros((3, 1)))
+    V0 = np.array([0.6])
+
+    def march(self, stack):
+        """The reduced solution from (zeta_i, V0) over four intervals."""
+        _, sched, _, _, red = stack
+        i = sched.interval_index(5.0)
+        t0, t_end = sched.zeta(i), sched.theta(i + 4)
+        return t0, t_end, solve_forward(red, sched, t0, self.V0, t_end, 0.25,
+                                        1e-10)
+
+    @pytest.mark.parametrize("kind", ["alternating", "randomized"])
+    def test_end_node_derivatives_read_the_intervals_own_anchor(
+            self, kind, anchored_stacks):
+        sys, sched, split, g_eval, red = stack = anchored_stacks(kind, 9)
+        fblock = _block_f(sys.f_stacked, split)
+        _, _, traj = self.march(stack)
+        for seg in traj.segments:
+            vbar = seg.w
+            wb = np.concatenate([g_eval.at(sched.zeta(seg.index), vbar), vbar])
+            for j in (0, -1):
+                t, v = seg.ts[j], seg.zs[j]
+                zb = np.concatenate([g_eval.at(t, v), v])
+                f_minus = fblock(np.array([t]), zb[None], wb[None])[0, split.k:]
+                want = red.A.dot(v) + f_minus
+                assert seg.dzs[j].tobytes() == want.tobytes(), (seg.index, j)
+
+    @pytest.mark.parametrize("kind", ["alternating", "randomized"])
+    def test_on_surface_start_follows_the_reduced_solution(
+            self, kind, anchored_stacks):
+        # the full solution from (G(t0, v0), v0) stays on the surface, so its
+        # neutral part is the reduced solution up to the cache's
+        # interpolation error, which shrinks on a finer cache
+        full, gaps = None, []
+        for resolution in (5, 9):
+            sys, sched, split, g_eval, _ = stack = anchored_stacks(kind,
+                                                                   resolution)
+            t0, t_end, reduced = self.march(stack)
+            if full is None:  # G(t0, v0) solved exactly, not read from a cache
+                z0 = np.concatenate([g_eval.point(t0, self.V0), self.V0])
+                full = solve_forward(sys, sched, t0, z0, t_end, 0.25, 1e-10)
+            ts = np.linspace(t0, t_end, 101)
+            gap = split.to_block(full.eval(ts))[:, split.k:] - reduced.eval(ts)
+            gaps.append(float(np.max(np.abs(gap))))
+        assert gaps[0] <= 1e-5
+        assert gaps[1] <= 0.5 * gaps[0]
 
 
 class TestAsymptoticPhase:

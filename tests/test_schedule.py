@@ -26,6 +26,15 @@ class TestBeta:
             sched.beta(3.5)
         assert "0.0" in str(ei.value) and "3.0" in str(ei.value)
 
+    def test_index_out_of_window_names_the_index(self):
+        sched = make_schedule("epca", window=(0, 3))
+        with pytest.raises(ScheduleWindowError) as ei:
+            sched.zeta(3)
+        assert str(ei.value) == "index i=3 is outside the schedule window [0, 2]"
+        with pytest.raises(ScheduleWindowError) as ei:
+            sched.theta(-1)
+        assert str(ei.value) == "index i=-1 is outside the schedule window [0, 3]"
+
 
 class TestIntervalIndex:
     def test_epca(self):

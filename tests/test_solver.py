@@ -817,7 +817,8 @@ class TestSolveForward:
         tol = 1e-9
         traj = solve_forward(tanh_system, sched, 0.0, np.array([1.0, 0.5]),
                              5.0, 0.05, tol)
-        for i, w in traj.anchors.items():
+        anchors = {d.segment.index: d.w for d in traj.diagnostics}
+        for i, w in anchors.items():
             np.testing.assert_allclose(traj.eval(sched.zeta(i)), w, atol=tol)
 
     def test_step_halving_agreement(self, tanh_system):
@@ -839,7 +840,8 @@ class TestSolveForward:
         back = solve_backward(tanh_system, sched, t_end, traj.eval(t_end),
                               sched.t_min, 0.05, 1e-10)
         assert np.linalg.norm(back.eval(sched.t_min) - [1.0, 0.4]) < 1e-7
-        for i, w in traj.anchors.items():
+        anchors = {d.segment.index: d.w for d in traj.diagnostics}
+        for i, w in anchors.items():
             np.testing.assert_allclose(traj.eval(sched.zeta(i)), w, atol=1e-9)
 
     def test_semigroup_consistency(self, tanh_system):
