@@ -236,6 +236,8 @@ _ABOVE = {"n_random_dirs": -1, "cache_resolution": 1,
           "t0_samples": -math.inf, "cache_box": -math.inf}
 _AT_MOST = {"n_random_dirs": 1000}
 _MAX_NODES = 100_000
+_SECTIONS = frozenset({"recipe", "system", "schedule", "solver", "manifold",
+                       "stability", "run", "seed"})
 _STEPS = (("solver", "step"), ("stability", "step"), ("manifold", "quad_step"))
 
 
@@ -305,6 +307,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
+        unknown = sorted(set(cfg) - _SECTIONS, key=str)
+        if unknown:
+            raise ConfigError(f"unknown top-level key(s) {unknown}; a config "
+                              f"takes {sorted(_SECTIONS)}")
         recipe = cfg.get("recipe")
         if recipe not in RECIPES:
             raise ConfigError(f"recipe must be one of {RECIPES}, got {recipe!r}")

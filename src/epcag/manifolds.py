@@ -24,8 +24,10 @@ tolerance, so it gets the value, deltas and error of its call alone.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -581,11 +583,16 @@ class CenterEvaluator:
     period so the cache stays small; otherwise time nodes are laid on the
     breakpoints and anchors at least one horizon into the schedule, and
     earlier times read the first node.  The period starts one horizon plus
-    2 theta_bound into the schedule; each cell is one :func:`eval_G` of at
-    most 40 sweeps.
+    2 theta_bound into the schedule.  A lookup that finds cells missing
+    fills them per time node it touches: all of that node's missing
+    corners in one stacked :func:`eval_G` of at most 40 sweeps, each cell a
+    column that stops at its own tolerance, so it holds the value of its
+    own call.  The last lookup's key and result are kept, so a repeated
+    lookup (the reads of G at an interval's end) costs one comparison.
 
-    Concurrent readers are safe; concurrent insertions of the same key may
-    race but agree to tolerance, so last-write-wins is acceptable.
+    Concurrent readers are safe: a lookup returns a fresh array, and a table
+    block is allocated under a lock.  Concurrent fills of the same cell may
+    race but agree, so last-write-wins is acceptable.
     """
 
     def __init__(self, sys: HybridSystem, sched: ArgumentSchedule,
@@ -638,14 +645,24 @@ class CenterEvaluator:
                 "fewer than two admissible time nodes; on schedules with "
                 "advanced anchors use the native anchor times, and the "
                 "schedule must extend one horizon before them")
-        self._table: dict = {}  # time node index -> cells (nan: unfilled)
+        self._nodes = self.time_nodes.tolist()  # for bisect
+        # one table for all time nodes: node ti's cells are the rows
+        # _first[ti] + cell (-1: not touched yet), nan until filled; a block
+        # is allocated when its node is first touched
+        self._shape = (self.resolution,) * nm
+        self._cells = self.resolution ** nm
+        self._table = np.full((0, split.k), np.nan)
+        self._first = np.full(len(self.time_nodes), -1)
+        self._used = 0
+        self._grow = threading.Lock()
         # coordinate corners in product order (first coordinate slowest):
-        # bits (corner, 1, axis) and offsets (corner, 1) in a flat table
+        # bits (corner, 1, axis) and offsets (corner, 1) in a node's block
         bits = np.array(list(itertools.product((0, 1), repeat=nm)))
         self._strides = self.resolution ** np.arange(nm - 1, -1, -1)
         self._bits, self._offsets = bits[:, None] > 0, bits @ self._strides
         self._lo_edge, self._hi_edge = self.lo - 1e-12, self.hi + 1e-12
         self._spacing = (self.hi - self.lo) / (self.resolution - 1)
+        self._last = (None, None)  # the last lookup's (t, shape, bytes), result
         self._P: float | None = None
 
     def _anchor_ok(self, t: float) -> bool:
@@ -670,12 +687,12 @@ class CenterEvaluator:
         ``(m, nm)`` with ``t`` a scalar or one time per row, one output row
         each).  One multilinear interpolation with time as its first axis: a
         cell (time index, coordinate indices...) has 2^(1 + nm) corners,
-        read from a dense table per time node that is allocated when the
-        node is first touched.  Corners of zero weight are neither read nor
-        filled, so a query on a grid node returns the cached value exactly.
-        Rows that share a time share its time cell; each row sums its
-        corners in the same order and with the same operations as a
-        one-point call, so it is bitwise that call.
+        gathered from the table in one step.  Corners of zero weight are
+        neither read nor filled, so a query on a grid node returns the
+        cached value exactly.  Rows that share a time share its time cell;
+        each row sums its weighted corners from 0.0 in corner order, time
+        slowest, as a one-point call does, so it is bitwise that call.  A
+        lookup with the last one's time and rows returns its result again.
         """
         V = np.asarray(v, dtype=float)
         if V.ndim < 2:  # one point is a stack of one row
@@ -689,64 +706,84 @@ class CenterEvaluator:
                 return out
             t = t[0]
         t = float(t)
+        key = (t, V.shape, V.tobytes())
+        last_key, out = self._last
+        if key != last_key:
+            out = self._lookup(t, V)
+            self._last = (key, out)
+        return out.copy()
+
+    def _lookup(self, t: float, V: np.ndarray) -> np.ndarray:
+        """:meth:`at` of stacked rows ``V`` at one time ``t``."""
         if self.time_period is not None:
             t = self.t_ref + ((t - self.t_ref) % self.time_period)
-        nodes = self.time_nodes
-        j = int(nodes.searchsorted(t, side="right")) - 1
-        j = min(max(j, 0), len(nodes) - 2)
-        t0, t1 = nodes[j:j + 2].tolist()
+        nodes = self._nodes
+        j = min(max(bisect.bisect_right(nodes, t) - 1, 0), len(nodes) - 2)
+        t0, t1 = nodes[j], nodes[j + 1]
         lam = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
         inside = (self._lo_edge <= V) & (V <= self._hi_edge)
         if not inside.all():
             raise BoxExceededError(
                 f"coordinates {V[np.argmin(inside.all(axis=1))]} outside the "
                 f"cached box [{self.lo}, {self.hi}]")
+        # the time nodes of positive weight: j (unless lam = 1), j + 1
+        # (unless lam = 0)
+        lo, hi = (j if 1.0 - lam > 0 else j + 1), (j + 2 if lam > 0 else j + 1)
+        if not lo < hi:  # no time weight is positive (t is nan)
+            return np.zeros((len(V), self.split.k))
         pos = (V - self.lo) / self._spacing
         base = np.minimum(np.maximum(np.floor(pos), 0.0), self.resolution - 2)
         frac = pos - base
         # per-axis weights (corner, row, axis), the corners whose weights
-        # are all positive (None: every corner, off the cell faces) and the
-        # flat cells (corner, row)
+        # are all positive (None: every corner, off the cell faces), the
+        # corner weights (time, corner, row) and the cells (corner, row)
         axw = np.where(self._bits, frac, 1.0 - frac)
-        use = (None if frac.min() > 0.0 and frac.max() < 1.0
+        use = (None if axw.min() > 0.0
                else np.logical_and.reduce(axw > 0, axis=2))
+        weight = np.multiply.outer([1.0 - lam, lam][lo - j:hi - j], axw[..., 0])
+        for ax in range(1, V.shape[1]):
+            weight = weight * axw[..., ax]
         cells = base.astype(int) @ self._strides + self._offsets[:, None]
-        out = np.zeros((len(V), self.split.k))
-        for ti, weight in ((j, 1.0 - lam), (j + 1, lam)):
-            if not weight > 0:
-                continue
-            for ax in range(V.shape[1]):
-                weight = weight * axw[..., ax]
-            vals = self._corner_values(ti, cells, use)
-            for term in weight[..., None] * vals:
-                out += term  # an unused corner adds + 0.0: the row stays
-        return out
-
-    def _corner_values(self, ti: int, cells: np.ndarray,
-                       use: np.ndarray | None) -> np.ndarray:
-        """Cached graph values at time node ``ti`` and the flat ``cells``,
-        filling each missing cell where ``use`` holds (None: everywhere)
-        with one :meth:`point`; 0.0 where ``use`` fails (an unused corner's
-        weight is zero, or negative on the box's edge tolerance)."""
-        shape = (self.resolution,) * len(self.lo)
-        table = self._table.get(ti)
-        if table is None:
-            table = self._table[ti] = np.full(shape + (self.split.k,), np.nan)
-        flat = table.reshape(-1, self.split.k)  # a view
-        vals = flat[cells]
+        if self._first[lo] < 0 or self._first[hi - 1] < 0:
+            for ti in range(lo, hi):
+                self._block(ti)
+        rows = self._first[lo:hi, None, None] + cells
+        vals = self._table[rows]
         missing = np.isnan(vals[..., 0])
         if use is not None:
             missing &= use
         if missing.any():
-            for cell in np.unique(cells[missing]):
-                d = self.lo + np.array(np.unravel_index(cell, shape),
-                                       dtype=float) * (self.hi - self.lo) / (
-                    self.resolution - 1)
-                flat[cell] = self.point(float(self.time_nodes[ti]), d)
-            vals = flat[cells]
+            for ti, miss in zip(range(lo, hi), missing):
+                if miss.any():
+                    self._fill(ti, np.unique(cells[miss]))
+            vals = self._table[rows]
         if use is not None:
-            vals[~use] = 0.0
-        return vals
+            vals[:, ~use] = 0.0  # an unused corner adds +-0.0: the row stays
+        terms = (weight[..., None] * vals).reshape(-1, len(V), self.split.k)
+        # a running sum in corner order (add.reduce would sum one row
+        # pairwise); + 0.0 makes it the sum started from 0.0
+        return np.add.accumulate(terms)[-1] + 0.0
+
+    def _block(self, ti: int) -> None:
+        """Allocate time node ti's block of the table; the table doubles
+        when it is full."""
+        with self._grow:
+            if self._first[ti] >= 0:
+                return
+            used = self._used
+            if used + self._cells > len(self._table):
+                grown = np.full((2 * (used + self._cells), self.split.k), np.nan)
+                grown[:used] = self._table[:used]
+                self._table = grown
+            self._first[ti], self._used = used, used + self._cells
+
+    def _fill(self, ti: int, cells: np.ndarray) -> None:
+        """Fill the ``cells`` of time node ti with one stacked :meth:`point`,
+        one row per cell."""
+        d = self.lo + np.column_stack(np.unravel_index(cells, self._shape)).astype(
+            float) * (self.hi - self.lo) / (self.resolution - 1)
+        self._table[self._first[ti] + cells] = self.point(
+            float(self.time_nodes[ti]), d)
 
     def empirical_P(self) -> float:
         """Sampled Lipschitz constant of the graph map divided by l, at the

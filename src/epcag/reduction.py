@@ -39,14 +39,6 @@ __all__ = [
 # classify_stability's fixed thresholds, reported with every verdict
 ESCAPE_FACTOR, BOUND_FACTOR, FIT_R2, MIN_EFOLDS = 10.0, 3.0, 0.98, 1.0
 
-_VERDICT_RANK = {
-    "unstable": 0,
-    "inconclusive": 0,
-    "stable": 1,
-    "asymptotically-stable": 2,
-    "exponential": 3,
-}
-
 
 @dataclass
 class StabilityVerdict:
@@ -54,9 +46,10 @@ class StabilityVerdict:
 
     classification is one of unstable / stable / asymptotically-stable /
     exponential, plus "inconclusive" when excursions land between the bound
-    and escape thresholds so neither claim is supported.  The lattice
-    ordering exponential => asymptotically-stable => stable holds by
-    construction.
+    and escape thresholds so neither claim is supported.  Each level is
+    a refinement of the one before it: a verdict of exponential decay has
+    passed the asymptotic-stability test, which has passed the stability
+    test.
     """
 
     classification: str
@@ -65,9 +58,6 @@ class StabilityVerdict:
     t0_sweep: list
     fit: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-
-    def implies(self, level: str) -> bool:
-        return _VERDICT_RANK[self.classification] >= _VERDICT_RANK[level]
 
     def as_dict(self) -> dict:
         return {
@@ -118,7 +108,7 @@ def build_reduced(sys: HybridSystem, sched: ArgumentSchedule,
 
     def f_red(t, v, wb):
         if np.ndim(v) < 2:  # one point is a stack of one row
-            return f_red(np.reshape(t, 1), np.reshape(v, (1, nm)),
+            return f_red(t, np.reshape(v, (1, nm)),
                          np.reshape(wb, (1, sys.dim)))[0]
         zb = np.concatenate([g_eval.at(t, v), v], axis=1)
         return fblock(t, zb, wb)[:, k:]

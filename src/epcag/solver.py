@@ -23,11 +23,12 @@ are the same IEEE operations in the same order, so the values agree bit for
 bit; the lone path only spends less per stage on dispatch.
 
 The nonlinearity ``f(t, z, w)`` is called with one state at a time, or with
-stacked states (``t`` of shape ``(m,)``, ``z`` and ``w`` of shape ``(m, n)``,
-one row per point, returning ``(m, n)``) by stacked marches and the graph
-maps.  A callable that only takes one state at a time is detected when the
-system is built and wrapped once into a loop over rows
-(``HybridSystem.f_stacked``).  The ``w`` that f receives on interval i is
+stacked states (``z`` and ``w`` of shape ``(m, n)``, one row per point,
+returning ``(m, n)``): by stacked marches with one float ``t`` shared by the
+rows, and by the graph maps with one time per row (``t`` of shape
+``(m,)``).  A callable that only takes one state at a time, or that does
+not take both forms of ``t``, is detected when the system is built and
+wrapped once into a loop over rows (``HybridSystem.f_stacked``).  The ``w`` that f receives on interval i is
 ``HybridSystem.anchor_argument(zeta_i, w)`` of the anchor state w, worked
 out once per sweep and once per interval integration, never per stage; it
 is w itself unless a system says otherwise.
@@ -67,9 +68,11 @@ _DELTA_EXPLOSION = 1e8
 
 
 def _row_loop(f):
-    """Stacked form of a nonlinearity that takes one state at a time."""
+    """Stacked form of a nonlinearity that takes one state at a time: ``t``
+    is one float shared by the rows or one time per row."""
     def rows(t, z, w):
-        return np.array([f(*point) for point in zip(t, z, w)], dtype=float)
+        ts = [t] * len(z) if np.ndim(t) == 0 else t
+        return np.array([f(*point) for point in zip(ts, z, w)], dtype=float)
     return rows
 
 
@@ -83,9 +86,10 @@ class HybridSystem:
     difference quotients stay below ``lipschitz_l`` on probes of radius
     ``probe_radius`` (the declared constant may be local to that ball).
 
-    ``f_stacked`` is f on stacked states, one row per point: f itself when a
-    stacked call on the probe samples returns exactly the per-row values,
-    otherwise a loop over rows of f.
+    ``f_stacked`` is f on stacked states, one row per point: f itself when
+    stacked calls on the probe samples, with per-row times and with one
+    shared float time, return exactly the per-row values, otherwise a loop
+    over rows of f.
     """
 
     A: np.ndarray
@@ -145,17 +149,21 @@ class HybridSystem:
 
     def _takes_stacked(self, samples) -> bool:
         """Whether f, called once on the stacked ``(t, z1, w1)`` of the probe
-        samples, returns exactly its per-row values."""
+        samples, returns exactly its per-row values, both with the samples'
+        own times and with the first one shared by all rows."""
         t = np.array([s[0] for s in samples])
         z = np.array([s[1] for s in samples])
         w = self.anchor_argument(t, np.array([s[3] for s in samples]))
-        try:
-            with np.errstate(all="ignore"):
-                out = np.asarray(self.f(t, z, w), dtype=float)
-        except Exception:  # whatever f raises on rows, it takes one state
-            return False
-        return (out.shape == z.shape
-                and np.array_equal(out, _row_loop(self.f)(t, z, w)))
+        for times in (t, float(t[0])):
+            try:
+                with np.errstate(all="ignore"):
+                    out = np.asarray(self.f(times, z, w), dtype=float)
+            except Exception:  # whatever f raises on rows, it takes one state
+                return False
+            if not (out.shape == z.shape and np.array_equal(
+                    out, _row_loop(self.f)(times, z, w))):
+                return False
+        return True
 
     def probe_f(self, origin_times, samples) -> tuple:
         """Sampled evidence that f vanishes at the origin and is l-Lipschitz.
@@ -189,14 +197,14 @@ class HybridSystem:
                 origin <= 1e-9 * (1 + l))
 
     def rhs(self, t, z, w):
-        """z' at time t: one state, or stacked rows sharing t.  A stacked row
-        takes its own matrix-vector product, so it is bitwise the one-state
-        value (a matrix-matrix product rounds differently).  ``A.dot`` is the
-        same matrix-vector product as ``A @ z`` with less dispatch."""
+        """z' at time t: one state, or stacked rows sharing the float t.  A
+        stacked row takes its own matrix-vector product, so it is bitwise the
+        one-state value (a matrix-matrix product rounds differently).
+        ``A.dot`` is the same matrix-vector product as ``A @ z`` with less
+        dispatch."""
         if z.ndim == 1:
             return self.A.dot(z) + np.asarray(self.f(t, z, w), dtype=float)
-        return (self.A @ z[..., None])[..., 0] + self.f_stacked(
-            np.full(len(z), t), z, w)
+        return (self.A @ z[..., None])[..., 0] + self.f_stacked(t, z, w)
 
 
 @dataclass

@@ -619,6 +619,7 @@ _BAD_INPUTS = [pytest.param(recipe, path, value, flags,
     ("manifold-F", "solver.max_iter", 0),
     ("manifold-F", "manifold.quad_step", -0.1),
     ("simulate", "", [1, 2]),
+    ("simulate", "solvr", {"step": 0.1}),
     ("simulate", "solver", "x", "--step", "0.1"),
     ("simulate", "solver", "x", "--tol", "1e-6"),
     ("stability", "stability.horizon", -5.0),

@@ -327,9 +327,12 @@ def same_bits(a, b):
 def _filled(ev) -> dict:
     """The evaluator's filled cache cells, keyed (time index, coordinate
     indices...)."""
-    return {(ti, *map(int, idx)): table[tuple(idx)]
-            for ti, table in ev._table.items()
-            for idx in np.argwhere(~np.isnan(table[..., 0]))}
+    blocks = {ti: ev._table[first:first + ev._cells].reshape(
+                  ev._shape + (ev.split.k,))
+              for ti, first in enumerate(ev._first.tolist()) if first >= 0}
+    return {(ti, *map(int, idx)): block[tuple(idx)]
+            for ti, block in blocks.items()
+            for idx in np.argwhere(~np.isnan(block[..., 0]))}
 
 
 @pytest.fixture(scope="module")
@@ -460,48 +463,6 @@ class TestCenterEvaluatorExactAtNodes:
         assert np.array_equal(got, ev.point(t, d))
 
 
-def _two_pass_at(ev, cache, t, v):
-    """Reference lookup: multilinear over the coordinates at each of two
-    time nodes, then linear between them, filling ``cache`` keyed
-    (time index, coordinate index tuple)."""
-    def grid_value(ti, idx):
-        if (ti, idx) not in cache:
-            d = ev.lo + np.asarray(idx, dtype=float) * (ev.hi - ev.lo) / (
-                ev.resolution - 1)
-            cache[(ti, idx)] = ev.point(float(ev.time_nodes[ti]), d)
-        return cache[(ti, idx)]
-
-    def corners(ti, v):
-        nm = len(v)
-        h = (ev.hi - ev.lo) / (ev.resolution - 1)
-        pos = (v - ev.lo) / h
-        base = np.clip(np.floor(pos).astype(int), 0, ev.resolution - 2)
-        frac = pos - base
-        out = np.zeros(ev.split.k)
-        for corner in range(1 << nm):
-            idx = []
-            wgt = 1.0
-            for ax in range(nm):
-                bit = (corner >> ax) & 1
-                idx.append(base[ax] + bit)
-                wgt *= frac[ax] if bit else (1.0 - frac[ax])
-            if wgt > 0:
-                out = out + wgt * grid_value(ti, tuple(idx))
-        return out
-
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    tk = t if ev.time_period is None else (
-        ev.t_ref + ((t - ev.t_ref) % ev.time_period))
-    nodes = ev.time_nodes
-    j = int(np.searchsorted(nodes, tk, side="right")) - 1
-    j = min(max(j, 0), len(nodes) - 2)
-    lam = min(max((tk - nodes[j]) / (nodes[j + 1] - nodes[j]), 0.0), 1.0)
-    g0 = corners(j, v)
-    if lam == 0.0:
-        return g0
-    return (1.0 - lam) * g0 + lam * corners(j + 1, v)
-
-
 def _three_dim_evaluator(period):
     """Two neutral coordinates: A = diag(-1, 0, 0), the first neutral rate
     fed by the anchored decaying component so G varies in time too."""
@@ -521,13 +482,30 @@ def _three_dim_evaluator(period):
                            time_subdiv=2)
 
 
+class _PointCells(dict):
+    """Reference cache cells keyed (time index, coordinate indices...), each
+    filled on its first read by its own uncached one-point call."""
+
+    def __init__(self, ev):
+        super().__init__()
+        self.ev = ev
+
+    def __missing__(self, key):
+        ev, (ti, *idx) = self.ev, key
+        d = ev.lo + np.asarray(idx, dtype=float) * (ev.hi - ev.lo) / (
+            ev.resolution - 1)
+        value = self[key] = ev.point(float(ev.time_nodes[ti]), d)
+        return value
+
+
 class TestCenterEvaluatorMergedLookup:
     @pytest.mark.parametrize("nm", [1, 2])
     @pytest.mark.parametrize("period", [1.0, None])
-    def test_matches_the_two_pass_lookup(self, evaluators, nm, period):
-        ev = evaluators[period] if nm == 1 else _three_dim_evaluator(period)
-        ev._table.clear()
-        cache: dict = {}
+    def test_matches_the_two_pass_lookup(self, nm, period):
+        """The lookup is bitwise the one-point reference over cells filled
+        one :meth:`point` call each, and fills exactly those cells."""
+        ev = (_one_dim_evaluator if nm == 1 else _three_dim_evaluator)(period)
+        cells = _PointCells(ev)
         rng = np.random.default_rng(11)
         nodes = ev.time_nodes
         t_lo, t_hi = (nodes[0] - 3.0, nodes[0] + 7.0) if period else (
@@ -535,20 +513,73 @@ class TestCenterEvaluatorMergedLookup:
         for _ in range(12):
             t = float(rng.uniform(t_lo, t_hi))
             v = rng.uniform(ev.lo, ev.hi)
-            want = _two_pass_at(ev, cache, t, v)
-            got = ev.at(t, v)
-            scale = max(np.max(np.abs(val)) for val in cache.values())
-            assert np.max(np.abs(got - want)) <= 1e-15 * scale
-        assert len(_filled(ev)) == len(cache)
-        assert set(_filled(ev)) == {(ti, *idx) for ti, idx in cache}
+            want = _one_point_at(ev, t, v, cells)
+            assert same_bits(ev.at(t, v), want)
+        assert _filled(ev).keys() == cells.keys()
+        for key, value in cells.items():
+            assert same_bits(_filled(ev)[key], value)
+
+    @pytest.mark.parametrize("nm", [1, 2])
+    @pytest.mark.parametrize("period", [1.0, None])
+    def test_one_eval_G_per_touched_time_node(self, nm, period, monkeypatch):
+        ev = (_one_dim_evaluator if nm == 1 else _three_dim_evaluator)(period)
+        calls = []
+        eval_G_solo = manifolds.eval_G
+
+        def counted(sys, sched, split, bundle, zeta, d, **kwargs):
+            calls.append((zeta, len(np.atleast_2d(d))))
+            return eval_G_solo(sys, sched, split, bundle, zeta, d, **kwargs)
+
+        monkeypatch.setattr(manifolds, "eval_G", counted)
+        rows = _query_rows(ev, np.random.default_rng(5))
+        nodes = ev.time_nodes
+        for t in (0.5 * float(nodes[0] + nodes[1]), float(nodes[1]),
+                  0.25 * float(nodes[1]) + 0.75 * float(nodes[2])):
+            before = set(_filled(ev))
+            del calls[:]
+            ev.at(t, rows)
+            new = set(_filled(ev)) - before
+            touched = sorted({key[0] for key in new})
+            assert [z for z, _ in calls] == [float(nodes[ti]) for ti in touched]
+            assert sum(m for _, m in calls) == len(new)
+        del calls[:]
+        ev.at(0.5 * float(nodes[0] + nodes[1]), rows)  # all cells are cached
+        assert calls == []
+
+    def test_returned_arrays_are_not_the_cache(self):
+        ev = _three_dim_evaluator(None)
+        t = 0.5 * float(ev.time_nodes[2] + ev.time_nodes[3])
+        rows = np.array([[0.3, -0.2], [1.1, 0.7]])
+        first = ev.at(t, rows)
+        want = first.copy()
+        first[:] = 99.0
+        again = ev.at(t, rows)
+        assert same_bits(again, want)
+        again[:] = -1.0
+        assert same_bits(ev.at(t, rows), want)
+        one = ev.at(t, rows[0])
+        one[:] = 5.0
+        assert same_bits(ev.at(t, rows[0]), want[0])
+
+    @pytest.mark.parametrize("nm", [1, 2])
+    def test_thirty_rows_are_the_rows_one_at_a_time(self, nm):
+        make = _one_dim_evaluator if nm == 1 else _three_dim_evaluator
+        stacked, alone = make(None), make(None)
+        rows = np.random.default_rng(30).uniform(stacked.lo, stacked.hi,
+                                                 size=(30, nm))
+        nodes = stacked.time_nodes
+        for t in (0.5 * float(nodes[3] + nodes[4]), float(nodes[2])):
+            want = np.array([alone.at(t, row) for row in rows])
+            assert same_bits(stacked.at(t, rows), want)
 
 
 def _counted(ev):
-    """Count the evaluator's uncached graph evaluations."""
+    """Record the evaluator's uncached graph evaluations, one entry
+    ``(t, coordinates)`` per row."""
     point, calls = ev.point, []
 
     def counted(t, d):
-        calls.append((t, tuple(d)))
+        calls.extend((t, tuple(row)) for row in np.atleast_2d(d))
         return point(t, d)
 
     ev.point = counted
@@ -567,10 +598,10 @@ def _query_rows(ev, rng):
     return np.array(rows, dtype=float)
 
 
-def _one_point_at(ev, t, v):
-    """Reference one-point lookup over the evaluator's filled cells: a loop
-    over the positive-weight corners in product order (time slowest),
-    summing ``prod(weights) * value`` from 0.0."""
+def _one_point_at(ev, t, v, cells=None):
+    """Reference one-point lookup over ``cells`` (default: the evaluator's
+    filled cells): a loop over the positive-weight corners in product order
+    (time slowest), summing ``prod(weights) * value`` from 0.0."""
     t = float(t)
     if ev.time_period is not None:
         t = ev.t_ref + ((t - ev.t_ref) % ev.time_period)
@@ -586,7 +617,7 @@ def _one_point_at(ev, t, v):
         pos = (x - lo) / ((hi - lo) / n)
         base = min(max(math.floor(pos), 0), n - 1)
         axes.append(((base, 1.0 - (pos - base)), (base + 1, pos - base)))
-    cells = _filled(ev)
+    cells = _filled(ev) if cells is None else cells
     out = 0.0
     for corner in itertools.product(*[[c for c in ax if c[1] > 0]
                                       for ax in axes]):

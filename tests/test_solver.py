@@ -101,6 +101,37 @@ class TestStackedContract:
         assert sys.f_stacked is not f
         assert same_bits(sys.f_stacked(self.T, self.Z, self.W), self.rows(f))
 
+    def test_per_row_time_only_f_marches_as_before(self):
+        """A callable that reads stacked times as a column ``t[:, None]``
+        fails the shared-float probe and is wrapped into a row loop; its
+        stacked march is bitwise the march that passed ``np.full(m, t)``."""
+        def f(t, z, w):
+            if z.ndim == 1:
+                return 0.2 * np.tanh(w) / (1.0 + t * t) - 0.1 * z * z
+            tc = t[:, None]
+            return 0.2 * np.tanh(w) / (1.0 + tc * tc) - 0.1 * z * z
+
+        def full_times(t, z, w):  # a stacked call as the march made it
+            return f(np.full(len(z), t) if np.ndim(t) == 0 and np.ndim(z) == 2
+                     else t, z, w)
+
+        A = np.array([[-0.5, 0.3], [0.0, -0.2]])
+        sys, before = (HybridSystem(A, g, 0.5, 2) for g in (f, full_times))
+        assert sys.f_stacked is not f and before.f_stacked is full_times
+        assert same_bits(sys.f_stacked(0.7, self.Z, self.W),
+                         [f(0.7, z, w) for z, w in zip(self.Z, self.W)])
+        assert same_bits(sys.f_stacked(self.T, self.Z, self.W), self.rows(f))
+        sched = make_schedule("alternating", window=(0, 8))
+        Z0 = star_points([0.1, 1.0])
+        intervals = range(sched.interval_index(1.0), sched.interval_index(7.0))
+        marches = [list(_march(s, sched, 1.0, Z0, intervals, 0.25, 1e-10, 50))
+                   for s in (sys, before)]
+        assert len(marches[0]) == len(marches[1]) == len(intervals)
+        for new, old in zip(*marches):
+            assert same_bits(new.segment.zs, old.segment.zs)
+            assert same_bits(new.segment.dzs, old.segment.dzs)
+            assert same_bits(new.w, old.w)
+
 
 class TestIntegrateInterval:
     def test_linear_homogeneous(self):
